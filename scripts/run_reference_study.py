@@ -109,7 +109,8 @@ def main(argv=None) -> int:
                         help="reference scale: N=1000, b_n up to 2^10")
     parser.add_argument("--out-dir", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=20260809)
-    parser.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
+    parser.add_argument("--threads", type=int, default=0,
+                        help="accepted for compatibility; replications run on one thread")
     args = parser.parse_args(argv)
 
     n_reps = 1000 if args.full else 300

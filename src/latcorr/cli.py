@@ -25,6 +25,8 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
+_THREADS_HELP = "accepted for compatibility (must be >= 0); replications run on one thread"
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -98,8 +100,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         return _fail(EXIT_IO, f"counts file not found: {args.counts}")
     except io.CountSeriesError as exc:
         return _fail(EXIT_CONFIG, f"bad counts file: {exc}")
-    if args.a_n <= 0:
-        return _fail(EXIT_CONFIG, "--a-n must be positive")
+    if not (math.isfinite(args.a_n) and args.a_n > 0):
+        return _fail(EXIT_CONFIG, "--a-n must be a positive finite number")
     if counts.b_n < 4:
         return _fail(EXIT_CONFIG, f"need at least 4 observation intervals, got {counts.b_n}")
     variants = args.variant or list(harness.VARIANTS)
@@ -128,6 +130,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_mse_table(args: argparse.Namespace) -> int:
+    if args.threads < 0:
+        return _fail(EXIT_CONFIG, "--threads must be nonnegative")
     try:
         cf = _load_config(args.config)
     except io.ConfigError as exc:
@@ -161,6 +165,8 @@ def cmd_mse_table(args: argparse.Namespace) -> int:
 
 
 def cmd_rate_check(args: argparse.Namespace) -> int:
+    if args.threads < 0:
+        return _fail(EXIT_CONFIG, "--threads must be nonnegative")
     try:
         cf = _load_config(args.config)
     except io.ConfigError as exc:
@@ -210,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default: config 'out' or stdout)")
     p.add_argument("--format", choices=["csv", "md"], default=None)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (0 = auto)")
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_mse_table)
 
     p = sub.add_parser("rate-check", help="fit the MSE decay slope for one variant")
@@ -218,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", action="append", choices=list(harness.VARIANTS),
                    help="variant to check (default 1)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_rate_check)
 
     return parser

@@ -15,6 +15,10 @@ series ``D^p[k] = d^a[k] * d^b[k]``:
 * quadratic in lag-2 differences (``gamma_v2``),
 * kernel-windowed (``gamma_kernel``), window = ``n(h)`` grid steps.
 
+Each is a Gram matrix of a 3-row series (the products themselves, their
+lag-2 differences, or their window sums), computed once per estimator
+with ``@``; the kernel form goes through the fixed index map ``pairmap``.
+
 The asymptotic variance of C is the quadratic form ``xi = v' G v`` with
 weights ``v = (1/sqrt(S11 S22), -S12/(2 sqrt(S11^3 S22)),
 -S12/(2 sqrt(S11 S22^3)))``; no matrix square root is ever taken.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -47,6 +52,7 @@ __all__ = [
     "gamma_v2",
     "kernel_partial",
     "gamma_kernel",
+    "pairmap",
     "correlation_weights",
     "estimate_xi",
     "confidence_interval",
@@ -54,6 +60,14 @@ __all__ = [
 
 # Index order of all 3-vectors and of GammaMatrix rows/columns.
 PAIRS: tuple[tuple[int, int], ...] = ((1, 2), (1, 1), (2, 2))
+
+# pairmap index arrays: _PAIRMAP[p, q] = (a1a2, b1b2, a1b2, b1a2) for p = (a1, b1),
+# q = (a2, b2), each pair given by its index in PAIRS
+_PAIRMAP = np.array([
+    [[PAIRS.index(tuple(sorted(ab))) for ab in ((a1, a2), (b1, b2), (a1, b2), (b1, a2))]
+     for a2, b2 in PAIRS]
+    for a1, b1 in PAIRS
+])
 
 # Kernel bandwidth exponents named as in the simulation study.
 VARIANT_EXPONENTS = {"w": 0.25, "m": 0.5, "n": 0.75}
@@ -79,6 +93,19 @@ class TildeSeries:
     @property
     def b_n(self) -> int:
         return len(self.y1)
+
+    @cached_property
+    def pair_products(self) -> np.ndarray:
+        """Rows ``D^p[k] = d^a[k] d^b[k]`` in PAIRS order, shape (3, b_n - 1).
+
+        Index 0 of each row corresponds to k = 2.  Computed once and shared
+        by ``S`` and every Gamma estimator of this series.
+        """
+        d1 = np.diff(self.y1)
+        d2 = np.diff(self.y2)
+        rows = np.array([d1 * d2, d1 * d1, d2 * d2])
+        rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True)
@@ -182,21 +209,16 @@ def tilde_series(counts: CountPath, a_n: float, delta_n: float) -> TildeSeries:
 def increment_products(tilde: TildeSeries) -> dict[tuple[int, int], np.ndarray]:
     """Per-pair product series ``D^p[k] = d^a[k] d^b[k]``, k = 2..b_n.
 
-    Each array has length ``b_n - 1``; index 0 corresponds to k = 2.
+    Each array has length ``b_n - 1``; index 0 corresponds to k = 2.  The
+    arrays are the rows of ``tilde.pair_products``.
     """
-    d1 = np.diff(tilde.y1)
-    d2 = np.diff(tilde.y2)
-    return {(1, 2): d1 * d2, (1, 1): d1 * d1, (2, 2): d2 * d2}
+    return dict(zip(PAIRS, tilde.pair_products))
 
 
 def estimate_S(tilde: TildeSeries) -> CovEstimate:
     """(Co)variance estimator S = (S12, S11, S22) from increment products."""
-    prods = increment_products(tilde)
-    return CovEstimate(
-        s12=float(np.sum(prods[(1, 2)])),
-        s11=float(np.sum(prods[(1, 1)])),
-        s22=float(np.sum(prods[(2, 2)])),
-    )
+    s12, s11, s22 = map(float, tilde.pair_products.sum(axis=1))
+    return CovEstimate(s12=s12, s11=s11, s22=s22)
 
 
 def estimate_correlation(S: CovEstimate) -> float:
@@ -205,22 +227,28 @@ def estimate_correlation(S: CovEstimate) -> float:
     Raises
     ------
     DegenerateDataError
-        If S11*S22 = 0 (e.g. constant increments in one coordinate).
+        If S11*S22 = 0 (e.g. constant increments in one coordinate), or if
+        C is not finite (e.g. from NaN or infinite increments).
     """
     denom2 = S.s11 * S.s22
     if denom2 <= 0.0:
         raise DegenerateDataError("S11*S22 = 0: correlation undefined")
     c = S.s12 / math.sqrt(denom2)
+    if not math.isfinite(c):
+        raise DegenerateDataError(f"correlation is not finite: C = {c}")
     # Cauchy-Schwarz holds up to a few ulps; keep the contract |C| <= 1.
     return min(1.0, max(-1.0, c))
 
 
-def _symmetric_from_upper(fill) -> np.ndarray:
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            g[i, j] = g[j, i] = fill(PAIRS[i], PAIRS[j])
-    return g
+def pairmap(G: np.ndarray) -> np.ndarray:
+    """Map a 3x3 Gram matrix of pair series to Gamma form.
+
+    ``pairmap(G)[p, q] = G[a1a2, b1b2] + G[a1b2, b1a2]`` for p = (a1, b1),
+    q = (a2, b2), with every index taken in PAIRS order.  The result is
+    exactly symmetric when G is.
+    """
+    i = _PAIRMAP
+    return G[i[..., 0], i[..., 1]] + G[i[..., 2], i[..., 3]]
 
 
 def gamma_v1(tilde: TildeSeries, T: float) -> GammaMatrix:
@@ -231,16 +259,9 @@ def gamma_v1(tilde: TildeSeries, T: float) -> GammaMatrix:
     runs over k = 2..b_n and the second over k = 2..b_n-2 (empty for
     b_n < 4).
     """
-    prods = increment_products(tilde)
-    scale = 9.0 / 8.0 * tilde.b_n / T
-
-    def fill(p, q):
-        Dp, Dq = prods[p], prods[q]
-        main = np.sum(Dp * Dq)
-        cross = np.sum(Dp[:-2] * Dq[2:] + Dp[2:] * Dq[:-2]) if len(Dp) >= 3 else 0.0
-        return scale * (main - 0.5 * cross)
-
-    return GammaMatrix(values=_symmetric_from_upper(fill))
+    P = tilde.pair_products
+    X = P[:, :-2] @ P[:, 2:].T
+    return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / T * (P @ P.T - 0.5 * (X + X.T)))
 
 
 def gamma_v2(tilde: TildeSeries, T: float) -> GammaMatrix:
@@ -250,18 +271,9 @@ def gamma_v2(tilde: TildeSeries, T: float) -> GammaMatrix:
     (D^p_{k+2} - D^p_k)(D^q_{k+2} - D^q_k)``; the whole matrix is positive
     semidefinite by construction, and zero when b_n < 4.
     """
-    prods = increment_products(tilde)
-    scale = 9.0 / 8.0 * tilde.b_n / T
-
-    def fill(p, q):
-        Dp, Dq = prods[p], prods[q]
-        if len(Dp) < 3:
-            return 0.0
-        up = Dp[2:] - Dp[:-2]
-        uq = Dq[2:] - Dq[:-2]
-        return scale * 0.5 * np.sum(up * uq)
-
-    return GammaMatrix(values=_symmetric_from_upper(fill))
+    P = tilde.pair_products
+    delta = P[:, 2:] - P[:, :-2]
+    return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / T * 0.5 * (delta @ delta.T))
 
 
 def kernel_partial(
@@ -326,20 +338,8 @@ def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> Gamm
     """
     b_n = tilde.b_n
     h, n_h = bandwidth.resolve(b_n, T)
-    prods = increment_products(tilde)
-    win = {pair: _window_sums(arr, n_h) / h for pair, arr in prods.items()}
-
-    def w(a: int, b: int) -> np.ndarray:
-        return win[(a, b) if a <= b else (b, a)]
-
-    scale = 9.0 / 8.0 * T / b_n
-
-    def fill(p, q):
-        a1, b1 = p
-        a2, b2 = q
-        return scale * np.sum(w(a1, a2) * w(b1, b2) + w(a1, b2) * w(b1, a2))
-
-    return GammaMatrix(values=_symmetric_from_upper(fill))
+    W = np.array([_window_sums(row, n_h) / h for row in tilde.pair_products])
+    return GammaMatrix(values=9.0 / 8.0 * T / b_n * pairmap(W @ W.T))
 
 
 def correlation_weights(S: CovEstimate) -> np.ndarray:

@@ -199,9 +199,9 @@ def write_count_series(path: str, counts: CountPath, delta_n: float) -> None:
 def read_count_series(path: str) -> tuple[CountPath, float, float]:
     """Parse a count-series CSV into ``(counts, delta_n, T)``.
 
-    Enforces the format contract: header ``t,y1,y2``; strictly increasing,
-    equidistant times (relative tolerance 1e-9); integer cumulative counts
-    starting at 0 and nondecreasing.
+    Enforces the format contract: header ``t,y1,y2``; finite, strictly
+    increasing, equidistant times (relative tolerance 1e-9); integer
+    cumulative counts starting at 0 and nondecreasing.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -227,6 +227,8 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
     if len(t) < 2:
         raise CountSeriesError("need at least two observation rows")
     times = np.array(t)
+    if not np.all(np.isfinite(times)):
+        raise CountSeriesError("observation times must be finite")
     steps = np.diff(times)
     if np.any(steps <= 0):
         raise CountSeriesError("observation times must be strictly increasing")

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import PAIRS, CovEstimate, DegenerateDataError, GammaMatrix, correlation_weights
+from .estimators import (
+    PAIRS, CovEstimate, DegenerateDataError, GammaMatrix, correlation_weights, pairmap,
+)
 from .sim import LatentPath, ModelParams
 
 __all__ = [
@@ -64,13 +66,11 @@ def _grid_step(path: LatentPath) -> float:
     return float(path.times[1] - path.times[0])
 
 
-def _row_dots(rows: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Pointwise dot products of the diffusion rows, keyed by (a, b)."""
-    out = {}
-    for a in (1, 2):
-        for b in (a, 2):
-            out[(a, b)] = np.einsum("ni,ni->n", rows[:, a - 1], rows[:, b - 1])
-    return out
+def _cov_and_R(u12: float, u11: float, u22: float) -> tuple[CovEstimate, float]:
+    if u11 * u22 <= 0.0:
+        raise DegenerateDataError("U11*U22 = 0: true correlation undefined")
+    U = CovEstimate(s12=float(u12), s11=float(u11), s22=float(u22))
+    return U, float(u12 / np.sqrt(u11 * u22))
 
 
 def true_U(path: LatentPath, params: ModelParams) -> tuple[CovEstimate, float]:
@@ -82,15 +82,11 @@ def true_U(path: LatentPath, params: ModelParams) -> tuple[CovEstimate, float]:
         If either volatility is zero, making R undefined.
     """
     rows = diffusion_rows(path, params)
-    dots = _row_dots(rows)
     dt = _grid_step(path)
-    u12 = (2.0 / 3.0) * np.trapezoid(dots[(1, 2)], dx=dt)
-    u11 = (2.0 / 3.0) * np.trapezoid(dots[(1, 1)], dx=dt)
-    u22 = (2.0 / 3.0) * np.trapezoid(dots[(2, 2)], dx=dt)
-    if u11 * u22 <= 0.0:
-        raise DegenerateDataError("U11*U22 = 0: true correlation undefined")
-    U = CovEstimate(s12=float(u12), s11=float(u11), s22=float(u22))
-    return U, float(u12 / np.sqrt(u11 * u22))
+    return _cov_and_R(*(
+        (2.0 / 3.0) * np.trapezoid(np.einsum("ni,ni->n", rows[:, a - 1], rows[:, b - 1]), dx=dt)
+        for a, b in PAIRS
+    ))
 
 
 def true_gamma(path: LatentPath, params: ModelParams) -> GammaMatrix:
@@ -114,27 +110,30 @@ def true_gamma(path: LatentPath, params: ModelParams) -> GammaMatrix:
     return GammaMatrix(values=g)
 
 
+def _gram_targets(path: LatentPath, params: ModelParams) -> tuple[np.ndarray, GammaMatrix]:
+    """Targets in Gram form: ``U = (2/3) D w`` and ``gamma = 1/2 pairmap((D w) D')``.
+
+    ``D`` (3, n) holds the pointwise dots ``x_a . x_b`` of the diffusion rows
+    in PAIRS order, ``(rho s1 s2 X1 X2, s1^2 X1^2, s2^2 X2^2)``, and ``w`` the
+    trapezoid weights.
+    """
+    s1x1 = params.sigma1 * path.x1
+    s2x2 = params.sigma2 * path.x2
+    dots = np.array([params.rho * s1x1 * s2x2, s1x1 * s1x1, s2x2 * s2x2])
+    w = np.full(path.n_nodes, _grid_step(path))
+    w[[0, -1]] *= 0.5
+    root = dots * np.sqrt(w)  # a Gram product of one array is exactly symmetric
+    return (2.0 / 3.0) * (dots @ w), GammaMatrix(values=0.5 * pairmap(root @ root.T))
+
+
 def true_gamma_halfsum(path: LatentPath, params: ModelParams) -> GammaMatrix:
     """Target Gamma via the dot-product identity
     ``1/2 [ (x_a1 . x_a2)(x_b1 . x_b2) + (x_a1 . x_b2)(x_b1 . x_a2) ]``.
 
-    Algebraically equal to :func:`true_gamma`; kept as an internal
-    cross-check of the tensor arithmetic.
+    Algebraically equal to :func:`true_gamma`; this is the Gram form that
+    :func:`truth_record` uses.
     """
-    rows = diffusion_rows(path, params)
-    dots = _row_dots(rows)
-    dt = _grid_step(path)
-
-    def dot(a: int, b: int) -> np.ndarray:
-        return dots[(a, b) if a <= b else (b, a)]
-
-    g = np.empty((3, 3))
-    for i, (a1, b1) in enumerate(PAIRS):
-        for j in range(i, 3):
-            a2, b2 = PAIRS[j]
-            integrand = 0.5 * (dot(a1, a2) * dot(b1, b2) + dot(a1, b2) * dot(b1, a2))
-            g[i, j] = g[j, i] = np.trapezoid(integrand, dx=dt)
-    return GammaMatrix(values=g)
+    return _gram_targets(path, params)[1]
 
 
 def true_xi(U: CovEstimate, gamma: GammaMatrix) -> float:
@@ -144,7 +143,9 @@ def true_xi(U: CovEstimate, gamma: GammaMatrix) -> float:
 
 
 def truth_record(path: LatentPath, params: ModelParams) -> TruthRecord:
-    """Compute all targets for one path in a single pass."""
-    U, R = true_U(path, params)
-    gamma = true_gamma(path, params)
+    """Compute all targets for one path in a single pass, in the Gram form
+    of :func:`true_gamma_halfsum`; :func:`true_U` and :func:`true_gamma` are
+    the reference forms."""
+    u, gamma = _gram_targets(path, params)
+    U, R = _cov_and_R(*u)
     return TruthRecord(U=U, R=R, gamma=gamma, xi=true_xi(U, gamma))

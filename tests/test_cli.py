@@ -246,3 +246,34 @@ class TestRateCheckCommand:
     def test_multi_r_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, b_n=[16, 32, 64], r=[2.0, 3.0], replications=2)
         assert cli.main(["rate-check", "--config", str(cfg)]) == 2
+
+
+class TestBoundaryRejections:
+    def write_counts(self, tmp_path, times) -> Path:
+        p = tmp_path / "counts.csv"
+        rows = ["t,y1,y2"] + [f"{t},{j * (j + 1)},{3 * j + j % 2}" for j, t in enumerate(times)]
+        p.write_text("\n".join(rows) + "\n")
+        return p
+
+    @pytest.mark.parametrize("a_n", ["nan", "inf", "-inf"])
+    def test_estimate_non_finite_a_n_exit2(self, tmp_path, capsys, a_n):
+        p = self.write_counts(tmp_path, [0.125 * j for j in range(9)])
+        assert cli.main(["estimate", "--counts", str(p), f"--a-n={a_n}"]) == 2
+        captured = capsys.readouterr()
+        assert "--a-n" in captured.err
+        assert captured.out == ""
+
+    def test_nan_time_stamp_rejected(self, tmp_path, capsys):
+        times = [repr(0.125 * j) for j in range(9)]
+        times[4] = "nan"
+        p = self.write_counts(tmp_path, times)
+        with pytest.raises(io.CountSeriesError, match="finite"):
+            io.read_count_series(str(p))
+        assert cli.main(["estimate", "--counts", str(p), "--a-n", "100", "--variant", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["mse-table", "rate-check"])
+    def test_negative_threads_exit2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, b_n=[16, 32, 64], replications=1)
+        assert cli.main([command, "--config", str(cfg), "--threads", "-1"]) == 2
+        assert "--threads" in capsys.readouterr().err

@@ -397,3 +397,17 @@ class TestProperties:
             got = est._window_sums(values, width)
             ref = np.array([values[max(j - width + 1, 0): j + 1].sum() for j in range(bn)])
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        est.CovEstimate(s12=math.nan, s11=1.0, s22=1.0),
+        est.CovEstimate(s12=0.5, s11=math.nan, s22=1.0),
+        est.CovEstimate(s12=math.inf, s11=math.inf, s22=1.0),
+    ],
+)
+def test_non_finite_correlation_raises(S):
+    # a NaN C must not be clamped to -1
+    with pytest.raises(est.DegenerateDataError):
+        est.estimate_correlation(S)

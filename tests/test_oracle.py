@@ -124,3 +124,26 @@ class TestTruthRecord:
         assert coarse.xi == pytest.approx(fine.xi, rel=1e-4)
         g_f, g_c = fine.gamma.values, coarse.gamma.values
         assert np.max(np.abs(g_f - g_c)) <= 1e-4 * np.max(np.abs(g_f))
+
+
+class TestTruthRecordMatchesTensorForm:
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gram_form_matches_tensor_references(self, rho, seed):
+        params = sim.ModelParams(mu1=0.2, mu2=0.3, sigma1=0.2, sigma2=0.3, rho=rho,
+                                 x1_0=1.0, x2_0=2.0)
+        path = gbm_path(params, b_n=64, seed=seed)
+        rec = oracle.truth_record(path, params)
+        U, R = oracle.true_U(path, params)
+        gamma = oracle.true_gamma(path, params)
+
+        got_U = np.array([rec.U.s12, rec.U.s11, rec.U.s22])
+        want_U = np.array([U.s12, U.s11, U.s22])
+        assert np.max(np.abs(got_U - want_U)) <= 1e-12 * np.max(np.abs(want_U))
+        assert rec.R == pytest.approx(R, rel=1e-12, abs=0.0)
+        g = gamma.values
+        assert np.max(np.abs(rec.gamma.values - g)) <= 1e-12 * np.max(np.abs(g))
+        # at |rho| = 1 xi nearly cancels, so its error is relative to the
+        # size of the terms of v' G v
+        v = np.abs(est.correlation_weights(U))
+        assert abs(rec.xi - oracle.true_xi(U, gamma)) <= 1e-12 * (v @ np.abs(g) @ v)
