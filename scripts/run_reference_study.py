@@ -23,8 +23,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from latcorr import harness, io, sim
 
 # Reference MSE values this study reproduces (N = 1000 paths,
@@ -67,23 +65,13 @@ def study_model() -> sim.ModelParams:
                            x1_0=1.0, x2_0=2.0, T=1.0)
 
 
-def run_rate(model, r, bns, n_reps, seed, threads):
-    """Run one rate exponent; returns (rows, per-cell standard errors)."""
-    cfg = harness.ExperimentConfig(model=model, b_n=bns, r=(r,),
-                                   variants=harness.VARIANTS,
-                                   replications=n_reps, seed=seed)
-    rows, stderr = [], {}
-    for b_n in bns:
-        records = harness.run_cell(cfg, b_n, r, n_workers=threads)
-        rows.extend(harness.aggregate_cell(records, cfg, b_n, r))
-        live = [rec for rec in records if not rec.degenerate]
-        for variant in harness.VARIANTS:
-            sq = np.array([(rec.results[variant].xi - rec.true_xi) ** 2 for rec in live])
-            stderr[(variant, b_n)] = float(np.std(sq, ddof=1) / math.sqrt(len(sq))) if len(sq) > 1 else math.nan
-    return rows, stderr
+def run_rate(model, r, bns, n_reps, seed):
+    """MSE rows of every variant for one rate exponent, with standard errors."""
+    cfg = harness.ExperimentConfig(model=model, b_n=bns, r=(r,), replications=n_reps, seed=seed)
+    return harness.run_mse_table(cfg)
 
 
-def write_comparison(path, rows, stderr, reference, bns):
+def write_comparison(path, rows, reference, bns):
     hits = total = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -93,7 +81,7 @@ def write_comparison(path, rows, stderr, reference, bns):
             if row.b_n not in bns or not row.valid:
                 continue
             ref = reference[row.variant][REFERENCE_BNS.index(row.b_n)]
-            se = stderr[(row.variant, row.b_n)]
+            se = row.mse_stderr
             dev = (row.mse - ref) / se if se > 0 else math.inf
             ok = abs(dev) <= 3.0
             hits += ok
@@ -109,8 +97,6 @@ def main(argv=None) -> int:
                         help="reference scale: N=1000, b_n up to 2^10")
     parser.add_argument("--out-dir", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=20260809)
-    parser.add_argument("--threads", type=int, default=0,
-                        help="accepted for compatibility; replications run on one thread")
     args = parser.parse_args(argv)
 
     n_reps = 1000 if args.full else 300
@@ -122,13 +108,13 @@ def main(argv=None) -> int:
     grand_hits = grand_total = 0
     for r in (2.0, 2.5, 3.0, 3.5):
         t0 = time.time()
-        rows, stderr = run_rate(model, r, bns, n_reps, args.seed, args.threads)
+        rows = run_rate(model, r, bns, n_reps, args.seed)
         tag = f"{r:g}".replace(".", "_")
         (out / f"mse_r{tag}.csv").write_text(io.mse_table_csv(rows), encoding="utf-8")
         (out / f"mse_r{tag}.md").write_text(io.mse_table_markdown(rows), encoding="utf-8")
         (out / f"bn_mse_r{tag}.md").write_text(io.mse_table_markdown(rows, scaled=True),
                                                encoding="utf-8")
-        hits, total = write_comparison(out / f"comparison_r{tag}.csv", rows, stderr,
+        hits, total = write_comparison(out / f"comparison_r{tag}.csv", rows,
                                        REFERENCE_MSE[r], bns)
         grand_hits += hits
         grand_total += total

@@ -18,7 +18,7 @@ import dataclasses
 import math
 import sys
 
-from . import estimators, harness, io, sim
+from . import estimators, harness, io
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -33,37 +33,34 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_config(path: str) -> io.ConfigFile:
+def _load_experiment(args: argparse.Namespace) -> tuple[io.ConfigFile, harness.ExperimentConfig]:
+    """Load ``--config`` and apply ``--seed``; any invalid value, a missing file
+    included, raises a ValueError, which the commands map to exit code 2."""
     try:
-        return io.load_config(path)
+        cf = io.load_config(args.config)
     except FileNotFoundError:
-        raise io.ConfigError(f"config file not found: {path}") from None
+        raise io.ConfigError(f"config file not found: {args.config}") from None
+    if args.seed is None:
+        return cf, cf.experiment
+    return cf, dataclasses.replace(cf.experiment, seed=args.seed)
 
 
-def _singleton_cell(cf: io.ConfigFile) -> tuple[int, float]:
-    exp = cf.experiment
-    if len(exp.b_n) != 1:
-        raise io.ConfigError("key 'b_n' must contain exactly one value for simulate")
-    if len(exp.r) != 1:
-        raise io.ConfigError("key 'r' must contain exactly one value for simulate")
+def _singleton_cell(exp: harness.ExperimentConfig) -> tuple[int, float]:
+    for key in ("b_n", "r"):
+        if len(getattr(exp, key)) != 1:
+            raise io.ConfigError(f"key '{key}' must contain exactly one value for simulate")
     return exp.b_n[0], exp.r[0]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.replication < 0:
+        return _fail(EXIT_CONFIG, "--replication must be nonnegative")
     try:
-        cf = _load_config(args.config)
-        b_n, r = _singleton_cell(cf)
-    except io.ConfigError as exc:
+        cf, exp = _load_experiment(args)
+        b_n, r = _singleton_cell(exp)
+        design, path, counts = harness.simulate_replication(exp, b_n, r, args.replication)
+    except ValueError as exc:  # a ConfigError, or a model whose counts cannot be drawn
         return _fail(EXIT_CONFIG, str(exc))
-    exp = cf.experiment
-    seed = args.seed if args.seed is not None else exp.seed
-    model = exp.model
-    a_n = float(b_n) ** r
-    design = sim.SamplingDesign(b_n=b_n, a_n=a_n, m=exp.refinement, T=model.T)
-    rng = sim.replication_rng(seed, b_n, r, args.replication)
-    path = sim.simulate_latent(model, design, rng)
-    lam = sim.integrated_intensity(path, design)
-    counts = sim.simulate_counts(lam, a_n, rng)
 
     out = args.out or cf.out
     if out is None:
@@ -75,22 +72,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             io.write_latent_path(latent_out, path)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write output: {exc}")
-    print(f"wrote {out} (b_n={b_n}, a_n={a_n:g}, seed={seed}, replication={args.replication})")
+    print(f"wrote {out} (b_n={b_n}, a_n={design.a_n:g}, seed={exp.seed}, "
+          f"replication={args.replication})")
     return EXIT_OK
-
-
-def _estimate_report(counts, delta_n: float, T: float, a_n: float,
-                     variants: list[str], level: float):
-    tilde = estimators.tilde_series(counts, a_n, delta_n)
-    S = estimators.estimate_S(tilde)
-    C = estimators.estimate_correlation(S)  # may raise DegenerateDataError
-    report = []
-    for variant in variants:
-        G = harness.gamma_for_variant(tilde, T, variant)
-        xi = estimators.estimate_xi(S, G)
-        ci = estimators.confidence_interval(C, xi, counts.b_n, T, level)
-        report.append((variant, xi, ci))
-    return C, report
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -106,25 +90,26 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         return _fail(EXIT_CONFIG, f"need at least 4 observation intervals, got {counts.b_n}")
     variants = args.variant or list(harness.VARIANTS)
     try:
-        C, report = _estimate_report(counts, delta_n, T, args.a_n, variants, args.level)
+        C, results = harness.estimate_counts(counts, args.a_n, delta_n, T, variants, args.level)
     except estimators.DegenerateDataError as exc:
         return _fail(EXIT_DEGENERATE, f"degenerate data: {exc}")
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
 
+    report = [(variant, results[variant], results[variant].ci) for variant in variants]
     if args.format == "csv":
         print("variant,C,xi,clamped,ci_lo,ci_hi,lo_clamped,hi_clamped,level")
-        for variant, xi, ci in report:
-            print(f"{variant},{C!r},{xi.xi!r},{int(xi.clamped)},"
+        for variant, res, ci in report:
+            print(f"{variant},{C!r},{res.xi!r},{int(res.clamped)},"
                   f"{ci.lo!r},{ci.hi!r},{int(ci.lo_clamped)},{int(ci.hi_clamped)},{ci.level!r}")
     else:
         print(f"b_n = {counts.b_n}, a_n = {args.a_n:g}, T = {T:g}")
         print(f"correlation C = {C:.6f}")
-        for variant, xi, ci in report:
-            clamp = " (clamped)" if xi.clamped else ""
+        for variant, res, ci in report:
+            clamp = " (clamped)" if res.clamped else ""
             edge = "".join([" [lo clipped]" if ci.lo_clamped else "",
                             " [hi clipped]" if ci.hi_clamped else ""])
-            print(f"variant {variant}: xi = {xi.xi:.6f}{clamp}, "
+            print(f"variant {variant}: xi = {res.xi:.6f}{clamp}, "
                   f"{100 * ci.level:g}% CI = [{ci.lo:.6f}, {ci.hi:.6f}]{edge}")
     return EXIT_OK
 
@@ -133,16 +118,12 @@ def cmd_mse_table(args: argparse.Namespace) -> int:
     if args.threads < 0:
         return _fail(EXIT_CONFIG, "--threads must be nonnegative")
     try:
-        cf = _load_config(args.config)
-    except io.ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    exp = cf.experiment
-    if args.seed is not None:
-        exp = dataclasses.replace(exp, seed=args.seed)
-    try:
+        cf, exp = _load_experiment(args)
         rows = harness.run_mse_table(exp, n_workers=args.threads)
     except estimators.DegenerateDataError as exc:
         return _fail(EXIT_DEGENERATE, str(exc))
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG, str(exc))
 
     fmt = args.format or cf.format
     text = io.mse_table_markdown(rows) if fmt == "md" else io.mse_table_csv(rows)
@@ -167,15 +148,9 @@ def cmd_mse_table(args: argparse.Namespace) -> int:
 def cmd_rate_check(args: argparse.Namespace) -> int:
     if args.threads < 0:
         return _fail(EXIT_CONFIG, "--threads must be nonnegative")
-    try:
-        cf = _load_config(args.config)
-    except io.ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    exp = cf.experiment
-    if args.seed is not None:
-        exp = dataclasses.replace(exp, seed=args.seed)
     variant = args.variant[0] if args.variant else "1"
     try:
+        _, exp = _load_experiment(args)
         slope = harness.rate_check(exp, variant, n_workers=args.threads)
     except estimators.DegenerateDataError as exc:
         return _fail(EXIT_DEGENERATE, str(exc))

@@ -295,32 +295,35 @@ def kernel_partial(
 
 
 def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
-    """Trailing-window sums ``out[j] = sum(values[max(j-width+1, 0) : j+1])``.
+    """Trailing-window sums along the last axis of a 1-D or 2-D array:
+    ``out[..., j] = sum(values[..., max(j-width+1, 0) : j+1])``.
 
-    Runs in O(len(values)) independent of the window width: values are cut
+    Runs in O(values.size) independent of the window width: each row is cut
     into width-sized blocks carrying prefix and suffix cumulative sums, and
     every window is the sum of one suffix and one prefix.  Each output is
     therefore an in-order sum of its own terms (no large-prefix
     cancellation), matching naive per-window summation to rounding error.
+    Rows share the block indices and are filled one at a time, which keeps
+    the float temporaries to one row's worth.
     """
-    n = values.size
+    n = values.shape[-1]
     if width >= n:
-        return np.cumsum(values)
+        return np.cumsum(values, axis=-1)
     nblocks = -(-n // width)
     padded = np.zeros(nblocks * width)
-    padded[:n] = values
     blocks = padded.reshape(nblocks, width)
-    fwd = np.cumsum(blocks, axis=1)
-    bwd = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1]
-
-    out = np.empty(n)
-    out[: width - 1] = fwd[0, : width - 1]
     j = np.arange(width - 1, n)
-    start = j - width + 1
-    b0, off0 = np.divmod(start, width)
+    b0, off0 = np.divmod(j - width + 1, width)
     b1, off1 = np.divmod(j, width)
     aligned = off0 == 0
-    out[width - 1 :] = np.where(aligned, fwd[b0, width - 1], bwd[b0, off0] + fwd[b1, off1])
+
+    out = np.empty(values.shape)
+    for row, dest in zip(values.reshape(-1, n), out.reshape(-1, n)):
+        padded[:n] = row
+        fwd = np.cumsum(blocks, axis=1)
+        bwd = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1]
+        dest[: width - 1] = fwd[0, : width - 1]
+        dest[width - 1 :] = np.where(aligned, fwd[b0, width - 1], bwd[b0, off0] + fwd[b1, off1])
     return out
 
 
@@ -338,7 +341,7 @@ def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> Gamm
     """
     b_n = tilde.b_n
     h, n_h = bandwidth.resolve(b_n, T)
-    W = np.array([_window_sums(row, n_h) / h for row in tilde.pair_products])
+    W = _window_sums(tilde.pair_products, n_h) / h
     return GammaMatrix(values=9.0 / 8.0 * T / b_n * pairmap(W @ W.T))
 
 

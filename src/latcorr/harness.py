@@ -1,15 +1,17 @@
-"""Monte Carlo harness: replication runner, MSE tables, rate checks.
+"""Monte Carlo harness: the replication pipeline, MSE tables, rate checks.
 
 A grid cell is one (b_n, r) pair with ``a_n = b_n**r``.  Every replication
 owns an RNG substream derived from ``(seed, b_n, r, index)``, simulates one
-latent path and one count path, computes the correlation estimate, every
-requested asymptotic-variance estimate, and the path-wise truth.
-Replications run one after another on the calling thread, and cell
-aggregation is a fixed-order fold over replication indices.
+latent path and one count path (:func:`simulate_replication`), estimates C
+and every requested xi and CI from the counts (:func:`estimate_counts`, which
+the CLI also calls), and computes the path-wise truth.  Replications run one
+after another on the calling thread, and cell aggregation is a fixed-order
+fold over replication indices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +26,8 @@ __all__ = [
     "ReplicationRecord",
     "MseRow",
     "gamma_for_variant",
+    "simulate_replication",
+    "estimate_counts",
     "run_replication",
     "run_cell",
     "aggregate_cell",
@@ -53,6 +57,8 @@ class ExperimentConfig:
         object.__setattr__(self, "b_n", tuple(int(b) for b in self.b_n))
         object.__setattr__(self, "r", tuple(float(x) for x in self.r))
         object.__setattr__(self, "variants", tuple(self.variants))
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not self.b_n:
@@ -61,6 +67,13 @@ class ExperimentConfig:
             raise ValueError("every b_n must be at least 4")
         if not self.r:
             raise ValueError("r list must be nonempty")
+        for b_n, r in itertools.product(self.b_n, self.r):
+            try:
+                a_n = float(b_n) ** r
+            except OverflowError:
+                a_n = math.inf
+            if not 0.0 < a_n < math.inf:
+                raise ValueError(f"r={r} gives a_n = {b_n}**r = {a_n}, not a finite positive float")
         if not self.variants:
             raise ValueError("variants list must be nonempty")
         unknown = [v for v in self.variants if v not in VARIANTS]
@@ -73,6 +86,13 @@ class ExperimentConfig:
         bad = [v for v in self.bandwidth_overrides if v not in ("w", "m", "n")]
         if bad:
             raise ValueError(f"bandwidth_overrides only apply to kernel variants, got {bad}")
+        # every override must give a window on every grid before any work starts
+        for (v, e), b_n in itertools.product(self.bandwidth_overrides.items(), self.b_n):
+            try:
+                estimators.BandwidthSpec.from_exponent(e).resolve(b_n, self.model.T)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"bandwidth_overrides.{v} = {e} gives no bandwidth h in "
+                                 f"(0, T] at b_n={b_n}") from exc
 
 
 @dataclass(frozen=True)
@@ -108,6 +128,8 @@ class MseRow:
     degenerate_count: int
     clamped_count: int
     n_effective: int
+    #: Monte Carlo standard error of ``mse``; NaN below 2 live replications
+    mse_stderr: float = field(default=math.nan, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -135,11 +157,40 @@ def gamma_for_variant(
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _check_model_not_degenerate(model: sim.ModelParams) -> None:
-    if model.sigma1 == 0.0 or model.sigma2 == 0.0:
-        raise estimators.DegenerateDataError(
-            "model has a zero volatility: true correlation targets are undefined"
-        )
+def simulate_replication(
+    config: ExperimentConfig, b_n: int, r: float, index: int
+) -> tuple[sim.SamplingDesign, sim.LatentPath, sim.CountPath]:
+    """Latent path and count path of one replication of one grid cell.
+
+    Deterministic given ``(config.seed, b_n, r, index)``: the replication's
+    substream is consumed by the latent normals, then the Poisson draws.
+    """
+    a_n = float(b_n) ** r
+    design = sim.SamplingDesign(b_n=b_n, a_n=a_n, m=config.refinement, T=config.model.T)
+    rng = sim.replication_rng(config.seed, b_n, r, index)
+    path = sim.simulate_latent(config.model, design, rng)
+    counts = sim.simulate_counts(sim.integrated_intensity(path, design), a_n, rng)
+    return design, path, counts
+
+
+def estimate_counts(
+    counts: sim.CountPath, a_n: float, delta_n: float, T: float,
+    variants: tuple[str, ...] | list[str], level: float,
+    bandwidth_overrides: dict[str, float] | None = None,
+) -> tuple[float, dict[str, VariantResult]]:
+    """Correlation estimate ``C`` and, per variant, ``xi`` and its CI.
+
+    Raises ``estimators.DegenerateDataError`` if S11*S22 = 0 or C is not finite.
+    """
+    tilde = estimators.tilde_series(counts, a_n, delta_n)
+    S = estimators.estimate_S(tilde)
+    C = estimators.estimate_correlation(S)
+    results = {}
+    for variant in variants:
+        xi = estimators.estimate_xi(S, gamma_for_variant(tilde, T, variant, bandwidth_overrides))
+        ci = estimators.confidence_interval(C, xi, counts.b_n, T, level)
+        results[variant] = VariantResult(xi=xi.xi, clamped=xi.clamped, ci=ci)
+    return C, results
 
 
 def run_replication(
@@ -151,35 +202,19 @@ def run_replication(
     degenerate count data (S11*S22 = 0) is flagged, not fatal; a degenerate
     model (zero volatility) aborts immediately.
     """
-    _check_model_not_degenerate(config.model)
-    a_n = float(b_n) ** r
-    design = sim.SamplingDesign(b_n=b_n, a_n=a_n, m=config.refinement, T=config.model.T)
-    rng = sim.replication_rng(config.seed, b_n, r, index)
-
-    path = sim.simulate_latent(config.model, design, rng)
-    lam = sim.integrated_intensity(path, design)
-    counts = sim.simulate_counts(lam, a_n, rng)
+    if config.model.sigma1 == 0.0 or config.model.sigma2 == 0.0:
+        raise estimators.DegenerateDataError(
+            "model has a zero volatility: true correlation targets are undefined")
+    design, path, counts = simulate_replication(config, b_n, r, index)
     truth = oracle.truth_record(path, config.model)
-
-    tilde = estimators.tilde_series(counts, a_n, design.delta_n)
-    S = estimators.estimate_S(tilde)
     try:
-        C = estimators.estimate_correlation(S)
+        C, results = estimate_counts(counts, design.a_n, design.delta_n, config.model.T,
+                                     config.variants, config.ci_level,
+                                     config.bandwidth_overrides)
     except estimators.DegenerateDataError:
-        return ReplicationRecord(
-            index=index, b_n=b_n, r=r, degenerate=True, C=None, results={},
-            true_R=truth.R, true_xi=truth.xi,
-        )
-
-    results = {}
-    for variant in config.variants:
-        G = gamma_for_variant(tilde, config.model.T, variant, config.bandwidth_overrides)
-        xi = estimators.estimate_xi(S, G)
-        ci = estimators.confidence_interval(C, xi, b_n, config.model.T, config.ci_level)
-        results[variant] = VariantResult(xi=xi.xi, clamped=xi.clamped, ci=ci)
-
+        C, results = None, {}
     return ReplicationRecord(
-        index=index, b_n=b_n, r=r, degenerate=False, C=C, results=results,
+        index=index, b_n=b_n, r=r, degenerate=C is None, C=C, results=results,
         true_R=truth.R, true_xi=truth.xi,
     )
 
@@ -205,21 +240,17 @@ def aggregate_cell(
     """Fold one cell's replication records into per-variant MSE rows."""
     degenerate = sum(rec.degenerate for rec in records)
     live = [rec for rec in records if not rec.degenerate]  # index order preserved
+    n_eff = len(live)
     rows = []
     for variant in config.variants:
-        n_eff = len(live)
-        if n_eff == 0:
-            rows.append(
-                MseRow(variant=variant, b_n=b_n, r=r, mse=math.nan, bn_times_mse=math.nan,
-                       degenerate_count=degenerate, clamped_count=0, n_effective=0)
-            )
-            continue
         sq = np.array([(rec.results[variant].xi - rec.true_xi) ** 2 for rec in live])
-        mse = float(np.sum(sq) / n_eff)
+        mse = float(np.sum(sq) / n_eff) if n_eff else math.nan
+        stderr = float(np.std(sq, ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else math.nan
         clamped = sum(rec.results[variant].clamped for rec in live)
         rows.append(
             MseRow(variant=variant, b_n=b_n, r=r, mse=mse, bn_times_mse=b_n * mse,
-                   degenerate_count=degenerate, clamped_count=clamped, n_effective=n_eff)
+                   degenerate_count=degenerate, clamped_count=clamped, n_effective=n_eff,
+                   mse_stderr=stderr)
         )
     return rows
 

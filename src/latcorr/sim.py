@@ -14,7 +14,7 @@ lives on a finer grid with ``m`` subintervals per observation interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +50,9 @@ class ModelParams:
     T: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.sigma1 < 0 or self.sigma2 < 0:
             raise ValueError("sigma1 and sigma2 must be nonnegative")
         if not -1.0 <= self.rho <= 1.0:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -277,3 +278,59 @@ class TestBoundaryRejections:
         cfg = write_config(tmp_path, b_n=[16, 32, 64], replications=1)
         assert cli.main([command, "--config", str(cfg), "--threads", "-1"]) == 2
         assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model_patch, overrides, argv, key",
+    [
+        ({"T": math.nan}, {}, ["mse-table"], "T must be finite"),
+        ({"mu1": math.inf}, {}, ["mse-table"], "mu1"),
+        ({}, {"bandwidth_overrides": {"w": -1}}, ["mse-table"], "bandwidth_overrides.w"),
+        ({}, {"bandwidth_overrides": {"w": math.nan}}, ["mse-table"], "bandwidth_overrides.w"),
+        ({}, {"seed": -1}, ["mse-table"], "seed"),
+        ({}, {}, ["mse-table", "--seed", "-1"], "seed"),
+        ({}, {}, ["simulate", "--seed", "-1"], "seed"),
+        ({}, {}, ["simulate", "--replication", "-1"], "--replication"),
+        ({}, {"r": [400]}, ["mse-table"], "r=400"),
+        ({}, {"r": [math.nan]}, ["rate-check"], "r=nan"),
+    ],
+    ids=["T-nan", "mu1-inf", "bandwidth-negative", "bandwidth-nan", "seed-negative",
+         "seed-flag-negative", "simulate-seed-flag-negative", "replication-negative",
+         "r-overflow", "r-nan"],
+)
+def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, model_patch, overrides,
+                                               argv, key):
+    model = json.loads(write_config(tmp_path).read_text())["model"]
+    cfg = write_config(tmp_path, model={**model, **model_patch}, **overrides)
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if argv[0] != "rate-check" else []
+    assert cli.main([argv[0], "--config", str(cfg), *extra, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_simulate_then_estimate_matches_run_replication(tmp_path, capsys):
+    """``simulate`` then ``estimate`` reproduces the harness's replication;
+    only the count file's times, which re-derive delta_n, separate the two."""
+    b_n, r = 64, 3.0
+    cfg = write_config(tmp_path, b_n=[b_n], r=[r], variants=list(harness.VARIANTS))
+    exp = io.load_config(str(cfg)).experiment
+    for index in (0, 3):
+        out = tmp_path / f"counts{index}.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--replication", str(index)]) == 0
+        capsys.readouterr()
+        assert cli.main(["estimate", "--counts", str(out), "--a-n", repr(float(b_n) ** r),
+                         "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        rec = harness.run_replication(exp, b_n, r, index)
+        assert [line.split(",")[0] for line in lines] == list(harness.VARIANTS)
+        for line in lines:
+            variant, C, xi, _, lo, hi = line.split(",")[:6]
+            res = rec.results[variant]
+            assert float(C) == pytest.approx(rec.C, rel=1e-12)
+            assert float(xi) == pytest.approx(res.xi, rel=1e-12)
+            assert float(lo) == pytest.approx(res.ci.lo, rel=1e-12)
+            assert float(hi) == pytest.approx(res.ci.hi, rel=1e-12)

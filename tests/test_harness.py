@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from latcorr import estimators as est
-from latcorr import harness, sim
+from latcorr import harness, io, sim
 
 
 def small_config(study_model, **kw):
@@ -205,3 +206,25 @@ class TestRateCheck:
         cfg = small_config(study_model, b_n=(16, 32, 64), r=(2.0, 3.0))
         with pytest.raises(ValueError):
             harness.rate_check(cfg, "1")
+
+
+class TestMseStderr:
+    def test_matches_records(self, study_model):
+        cfg = small_config(study_model, replications=7)
+        records = harness.run_cell(cfg, 16, 3.0)
+        live = [rec for rec in records if not rec.degenerate]
+        for row in harness.aggregate_cell(records, cfg, 16, 3.0):
+            sq = np.array([(rec.results[row.variant].xi - rec.true_xi) ** 2 for rec in live])
+            assert row.mse_stderr == float(np.std(sq, ddof=1) / math.sqrt(len(sq)))
+            assert row.mse_stderr > 0.0
+
+    def test_nan_below_two_replications(self, study_model):
+        rows = harness.run_mse_table(small_config(study_model, replications=1))
+        assert all(math.isnan(row.mse_stderr) for row in rows)
+        assert all(math.isfinite(row.mse) for row in rows)
+
+    def test_changes_neither_equality_nor_csv(self, study_model):
+        rows = harness.run_mse_table(small_config(study_model, replications=3))
+        moved = [dataclasses.replace(row, mse_stderr=-1.0) for row in rows]
+        assert moved == rows
+        assert io.mse_table_csv(moved) == io.mse_table_csv(rows)
