@@ -80,8 +80,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         counts, delta_n, T = io.read_count_series(args.counts)
-    except FileNotFoundError:
-        return _fail(EXIT_IO, f"counts file not found: {args.counts}")
     except io.CountSeriesError as exc:
         return _fail(EXIT_CONFIG, f"bad counts file: {exc}")
     if not (math.isfinite(args.a_n) and args.a_n > 0):
@@ -207,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unreadable --counts or --config; writes report their own
+        return _fail(EXIT_IO, f"cannot read input: {exc}")
 
 
 if __name__ == "__main__":

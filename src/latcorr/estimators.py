@@ -195,10 +195,10 @@ class ConfidenceInterval:
 
 def tilde_series(counts: CountPath, a_n: float, delta_n: float) -> TildeSeries:
     """Convert cumulative counts to rate-normalized increments."""
-    if a_n <= 0:
-        raise ValueError("a_n must be positive")
-    if delta_n <= 0:
-        raise ValueError("delta_n must be positive")
+    if not (a_n > 0 and math.isfinite(a_n)):
+        raise ValueError("a_n must be positive and finite")
+    if not (delta_n > 0 and math.isfinite(delta_n)):
+        raise ValueError("delta_n must be positive and finite")
     scale = 1.0 / (a_n * delta_n)
     return TildeSeries(
         y1=np.diff(counts.y1).astype(np.float64) * scale,
@@ -303,8 +303,8 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     every window is the sum of one suffix and one prefix.  Each output is
     therefore an in-order sum of its own terms (no large-prefix
     cancellation), matching naive per-window summation to rounding error.
-    Rows share the block indices and are filled one at a time, which keeps
-    the float temporaries to one row's worth.
+    Window ``width-1 + b*width + o`` is ``fwd[b, -1]`` if ``o == 0``, else
+    ``bwd[b, o] + fwd[b+1, o-1]``; rows are filled one at a time in reused buffers.
     """
     n = values.shape[-1]
     if width >= n:
@@ -312,18 +312,17 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     nblocks = -(-n // width)
     padded = np.zeros(nblocks * width)
     blocks = padded.reshape(nblocks, width)
-    j = np.arange(width - 1, n)
-    b0, off0 = np.divmod(j - width + 1, width)
-    b1, off1 = np.divmod(j, width)
-    aligned = off0 == 0
+    full = np.empty((nblocks, width))
 
     out = np.empty(values.shape)
     for row, dest in zip(values.reshape(-1, n), out.reshape(-1, n)):
         padded[:n] = row
         fwd = np.cumsum(blocks, axis=1)
         bwd = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1]
+        full[:, 0] = fwd[:, -1]
+        np.add(bwd[:-1, 1:], fwd[1:, :-1], out=full[:-1, 1:])
         dest[: width - 1] = fwd[0, : width - 1]
-        dest[width - 1 :] = np.where(aligned, fwd[b0, width - 1], bwd[b0, off0] + fwd[b1, off1])
+        dest[width - 1 :] = full.ravel()[: n - width + 1]
     return out
 
 

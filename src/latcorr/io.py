@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,30 +204,27 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
     increasing, equidistant times (relative tolerance 1e-9); integer
     cumulative counts starting at 0 and nondecreasing.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        # a body without rows is reported below, not by numpy's empty-input warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CountSeriesError("empty file") from None
+            line = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise CountSeriesError(str(exc)) from exc
+        if not line:
+            raise CountSeriesError("empty file")
+        header = next(csv.reader([line]))
         if [h.strip() for h in header] != ["t", "y1", "y2"]:
             raise CountSeriesError(f"expected header 't,y1,y2', got {','.join(header)!r}")
-        t, y1, y2 = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CountSeriesError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                t.append(float(row[0]))
-                y1.append(int(row[1]))
-                y2.append(int(row[2]))
-            except ValueError as exc:
-                raise CountSeriesError(f"line {lineno}: {exc}") from exc
+        try:
+            rows = np.loadtxt(fh, delimiter=",", dtype=[("t", "f8"), ("y1", "i8"), ("y2", "i8")],
+                              comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:  # field count, non-integer or out-of-range count, non-UTF-8
+            raise CountSeriesError(str(exc)) from exc
 
-    if len(t) < 2:
+    if len(rows) < 2:
         raise CountSeriesError("need at least two observation rows")
-    times = np.array(t)
+    times = rows["t"]
     if not np.all(np.isfinite(times)):
         raise CountSeriesError("observation times must be finite")
     steps = np.diff(times)
@@ -237,7 +235,7 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
     if np.max(np.abs(steps - delta)) > EQUIDISTANCE_RTOL * delta:
         raise CountSeriesError("observation times must be equidistant (rel. tol. 1e-9)")
     try:
-        counts = CountPath(y1=np.array(y1, dtype=np.int64), y2=np.array(y2, dtype=np.int64))
+        counts = CountPath(y1=np.ascontiguousarray(rows["y1"]), y2=np.ascontiguousarray(rows["y2"]))
     except ValueError as exc:
         raise CountSeriesError(str(exc)) from exc
     return counts, float(delta), float(b_n * delta)

@@ -79,12 +79,12 @@ class SamplingDesign:
     def __post_init__(self):
         if self.b_n < 4:
             raise ValueError("b_n must be at least 4")
-        if self.a_n <= 0:
-            raise ValueError("a_n must be positive")
+        if not (self.a_n > 0 and math.isfinite(self.a_n)):
+            raise ValueError("a_n must be positive and finite")
         if self.m < 1:
             raise ValueError("refinement m must be at least 1")
-        if self.T <= 0:
-            raise ValueError("horizon T must be positive")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ValueError("horizon T must be positive and finite")
 
     @property
     def delta_n(self) -> float:

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcorr import cli, estimators, harness, io, sim
 
@@ -334,3 +340,78 @@ def test_cli_simulate_then_estimate_matches_run_replication(tmp_path, capsys):
             assert float(xi) == pytest.approx(res.xi, rel=1e-12)
             assert float(lo) == pytest.approx(res.ci.lo, rel=1e-12)
             assert float(hi) == pytest.approx(res.ci.hi, rel=1e-12)
+
+
+def cumulative_counts(n):
+    return st.lists(st.integers(0, 2**62), min_size=n - 1, max_size=n - 1).map(
+        lambda xs: [0, *sorted(xs)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ys=st.integers(2, 40).flatmap(lambda n: st.tuples(cumulative_counts(n),
+                                                          cumulative_counts(n))),
+       delta_n=st.floats(1e-6, 1e3))
+def test_count_series_roundtrip_bit_exact(tmp_path_factory, ys, delta_n):
+    counts = sim.CountPath(y1=np.array(ys[0], dtype=np.int64), y2=np.array(ys[1], dtype=np.int64))
+    path = tmp_path_factory.mktemp("roundtrip") / "counts.csv"
+    io.write_count_series(str(path), counts, delta_n)
+    back, delta, T = io.read_count_series(str(path))
+    assert np.array_equal(back.y1, counts.y1) and np.array_equal(back.y2, counts.y2)
+    assert back.y1.dtype == back.y2.dtype == np.int64
+    b_n = counts.b_n
+    expected = b_n * delta_n / b_n  # the reader's (t[b_n] - t[0]) / b_n with t[0] = 0
+    assert delta.hex() == expected.hex()
+    assert T.hex() == (b_n * expected).hex()
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["0,0,0\n0.5,1\n", "0,0,0\n0.5,1,1,1\n", "0,0,0\n0.5,1,1,\n", "0,0,0\n0.5,,1\n",
+     "0,0,0\n0.5,3.0,1\n", "0,0,0\n# comment\n0.5,1,1\n", "0,0,0\n   \n0.5,1,1\n", ""],
+    ids=["2-fields", "4-fields", "trailing-comma", "empty-field", "float-count", "hash-line",
+         "whitespace-line", "header-only"],
+)
+def test_malformed_body_rejected_without_warning(tmp_path, capsys, body):
+    p = tmp_path / "counts.csv"
+    p.write_text("t,y1,y2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(io.CountSeriesError):
+            io.read_count_series(str(p))
+        assert cli.main(["estimate", "--counts", str(p), "--a-n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "bad counts file" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, make_input, code",
+    [
+        ("estimate", lambda d: d.write_text("t,y1,y2\n0,0,0\n0.5,1,9223372036854775808\n"), 2),
+        ("estimate", lambda d: d.write_bytes(b"t,y\xff1,y2\n0,0,0\n0.5,1,1\n"), 2),
+        # past the first read buffer, so numpy's reader meets the bad byte
+        ("estimate", lambda d: d.write_bytes(b"t,y1,y2\n" + b"".join(
+            b"%d,%d,%d\n" % (j, j, j) for j in range(2000)) + b"2000,\xff,2000\n"), 2),
+        ("estimate", lambda d: d.mkdir(), 1),
+        ("simulate", lambda d: d.mkdir(), 1),
+        ("mse-table", lambda d: d.mkdir(), 1),
+        ("rate-check", lambda d: d.mkdir(), 1),
+    ],
+    ids=["count-above-int64", "non-utf8-header", "non-utf8-body", "counts-directory",
+         "simulate-config-directory", "mse-table-config-directory",
+         "rate-check-config-directory"],
+)
+def test_unreadable_input_exits_without_traceback(tmp_path, command, make_input, code):
+    target = tmp_path / "input"
+    make_input(target)
+    if command == "estimate":
+        argv = ["estimate", "--counts", str(target), "--a-n", "1"]
+    else:
+        argv = [command, "--config", str(target), *(["--out", str(tmp_path / "out.csv")]
+                                                    if command != "rate-check" else [])]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "latcorr.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert ("bad counts file" if code == 2 else "cannot read") in proc.stderr

@@ -411,3 +411,28 @@ def test_non_finite_correlation_raises(S):
     # a NaN C must not be clamped to -1
     with pytest.raises(est.DegenerateDataError):
         est.estimate_correlation(S)
+
+
+@pytest.mark.parametrize("scale", ["a_n", "delta_n"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tilde_series_rejects_non_finite_scales(scale, value):
+    # an infinite scale would otherwise give a series of silent zeros
+    counts = sim.CountPath(y1=np.array([0, 1, 3]), y2=np.array([0, 2, 2]))
+    kwargs = {"a_n": 1.0, "delta_n": 0.5, scale: value}
+    with pytest.raises(ValueError, match=scale):
+        est.tilde_series(counts, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "n, width",
+    # n % width == 0 for 1, 3, 4 and 12 at n = 12; widths n - 1, n and n + 1 at both lengths
+    [(12, 1), (12, 3), (12, 4), (12, 5), (12, 11), (12, 12), (12, 13),
+     (13, 1), (13, 4), (13, 12), (13, 13), (13, 14)],
+)
+def test_window_sums_rows_equal_one_dimensional_calls(n, width, rng):
+    values = rng.standard_normal((3, n))
+    got = est._window_sums(values, width)
+    for row, out in zip(values, got):
+        assert np.array_equal(out, est._window_sums(row, width))
+        naive = [row[max(j - width + 1, 0): j + 1].sum() for j in range(n)]
+        np.testing.assert_allclose(out, naive, rtol=1e-12, atol=1e-12)

@@ -246,3 +246,11 @@ class TestSubstreams:
         c = sim.replication_rng(7, 32, 3.5, 0).standard_normal(4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("field", ["a_n", "T"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_design_rejects_non_finite(field, value):
+    kwargs = {"b_n": 8, "a_n": 10.0, "T": 1.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        sim.SamplingDesign(**kwargs)
