@@ -12,8 +12,8 @@ and writes, per r:
                           errors and a within-3-SE verdict
 
 Profiles:
-    default  desk scale, N=300 replications, b_n = 2^4..2^8   (~1 minute)
-    --full   reference scale, N=1000, b_n = 2^4..2^10         (several minutes)
+    default  desk scale, N=300 replications, b_n = 2^4..2^8   (a few seconds)
+    --full   reference scale, N=1000, b_n = 2^4..2^10         (under a minute)
 """
 
 import argparse

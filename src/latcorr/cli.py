@@ -78,12 +78,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.a_n) and args.a_n > 0):
+        return _fail(EXIT_CONFIG, "--a-n must be a positive finite number")
+    if not 0.0 < args.level < 1.0:
+        return _fail(EXIT_CONFIG, "level must lie strictly between 0 and 1")
     try:
         counts, delta_n, T = io.read_count_series(args.counts)
     except io.CountSeriesError as exc:
         return _fail(EXIT_CONFIG, f"bad counts file: {exc}")
-    if not (math.isfinite(args.a_n) and args.a_n > 0):
-        return _fail(EXIT_CONFIG, "--a-n must be a positive finite number")
     if counts.b_n < 4:
         return _fail(EXIT_CONFIG, f"need at least 4 observation intervals, got {counts.b_n}")
     variants = args.variant or list(harness.VARIANTS)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -61,13 +61,23 @@ __all__ = [
 # Index order of all 3-vectors and of GammaMatrix rows/columns.
 PAIRS: tuple[tuple[int, int], ...] = ((1, 2), (1, 1), (2, 2))
 
-# pairmap index arrays: _PAIRMAP[p, q] = (a1a2, b1b2, a1b2, b1a2) for p = (a1, b1),
-# q = (a2, b2), each pair given by its index in PAIRS
-_PAIRMAP = np.array([
-    [[PAIRS.index(tuple(sorted(ab))) for ab in ((a1, a2), (b1, b2), (a1, b2), (b1, a2))]
-     for a2, b2 in PAIRS]
-    for a1, b1 in PAIRS
-])
+
+def _pair_index(a: int, b: int) -> int:
+    return PAIRS.index((min(a, b), max(a, b)))
+
+
+# pairmap's flat indices into the 9 entries of a 3x3 matrix, for p = (a1, b1) and
+# q = (a2, b2): _PAIRMAP_A[p, q] = 3 a1a2 + b1b2 and _PAIRMAP_B[p, q] = 3 a1b2 + b1a2
+_PAIRMAP_A = np.array([[3 * _pair_index(a1, a2) + _pair_index(b1, b2) for a2, b2 in PAIRS]
+                       for a1, b1 in PAIRS])
+_PAIRMAP_B = np.array([[3 * _pair_index(a1, b2) + _pair_index(b1, a2) for a2, b2 in PAIRS]
+                       for a1, b1 in PAIRS])
+
+#: Elements per block pass of ``_window_sums`` (64 KiB of float64).  Rows
+#: share a pass up to this many elements in all, which saves numpy calls on
+#: short rows; longer rows run one per pass, because a pass over several long
+#: rows measured slower.
+_WINDOW_CHUNK = 8192
 
 # Kernel bandwidth exponents named as in the simulation study.
 VARIANT_EXPONENTS = {"w": 0.25, "m": 0.5, "n": 0.75}
@@ -103,7 +113,10 @@ class TildeSeries:
         """
         d1 = np.diff(self.y1)
         d2 = np.diff(self.y2)
-        rows = np.array([d1 * d2, d1 * d1, d2 * d2])
+        rows = np.empty((3, len(d1)))
+        np.multiply(d1, d2, out=rows[0])
+        np.multiply(d1, d1, out=rows[1])
+        np.multiply(d2, d2, out=rows[2])
         rows.flags.writeable = False
         return rows
 
@@ -199,11 +212,11 @@ def tilde_series(counts: CountPath, a_n: float, delta_n: float) -> TildeSeries:
         raise ValueError("a_n must be positive and finite")
     if not (delta_n > 0 and math.isfinite(delta_n)):
         raise ValueError("delta_n must be positive and finite")
-    scale = 1.0 / (a_n * delta_n)
-    return TildeSeries(
-        y1=np.diff(counts.y1).astype(np.float64) * scale,
-        y2=np.diff(counts.y2).astype(np.float64) * scale,
-    )
+    product = a_n * delta_n  # finite factors, but the product can under- or overflow
+    scale = 1.0 / product if product > 0.0 else math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"a_n * delta_n = {product!r} gives no finite nonzero scale")
+    return TildeSeries(y1=np.diff(counts.y1) * scale, y2=np.diff(counts.y2) * scale)
 
 
 def increment_products(tilde: TildeSeries) -> dict[tuple[int, int], np.ndarray]:
@@ -241,14 +254,14 @@ def estimate_correlation(S: CovEstimate) -> float:
 
 
 def pairmap(G: np.ndarray) -> np.ndarray:
-    """Map a 3x3 Gram matrix of pair series to Gamma form.
+    """Map 3x3 Gram matrices of pair series, shape ``(..., 3, 3)``, to Gamma form.
 
-    ``pairmap(G)[p, q] = G[a1a2, b1b2] + G[a1b2, b1a2]`` for p = (a1, b1),
-    q = (a2, b2), with every index taken in PAIRS order.  The result is
-    exactly symmetric when G is.
+    ``pairmap(G)[..., p, q] = G[..., a1a2, b1b2] + G[..., a1b2, b1a2]`` for
+    p = (a1, b1), q = (a2, b2), with every index taken in PAIRS order.  Each
+    result is exactly symmetric when its G is.
     """
-    i = _PAIRMAP
-    return G[i[..., 0], i[..., 1]] + G[i[..., 2], i[..., 3]]
+    flat = G.reshape(G.shape[:-2] + (9,))
+    return flat.take(_PAIRMAP_A, axis=-1) + flat.take(_PAIRMAP_B, axis=-1)
 
 
 def gamma_v1(tilde: TildeSeries, T: float) -> GammaMatrix:
@@ -295,7 +308,7 @@ def kernel_partial(
 
 
 def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
-    """Trailing-window sums along the last axis of a 1-D or 2-D array:
+    """Trailing-window sums along the last axis of a ``(..., n)`` array:
     ``out[..., j] = sum(values[..., max(j-width+1, 0) : j+1])``.
 
     Runs in O(values.size) independent of the window width: each row is cut
@@ -304,26 +317,31 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     therefore an in-order sum of its own terms (no large-prefix
     cancellation), matching naive per-window summation to rounding error.
     Window ``width-1 + b*width + o`` is ``fwd[b, -1]`` if ``o == 0``, else
-    ``bwd[b, o] + fwd[b+1, o-1]``; rows are filled one at a time in reused buffers.
+    ``bwd[b, o] + fwd[b+1, o-1]``.  The rows over all leading axes go through
+    the blocks in chunks of at most ``_WINDOW_CHUNK`` elements, one pass per
+    chunk, and at least one row per chunk; a row's outputs do not depend on
+    the chunk it runs in.
     """
     n = values.shape[-1]
     if width >= n:
         return np.cumsum(values, axis=-1)
     nblocks = -(-n // width)
-    padded = np.zeros(nblocks * width)
-    blocks = padded.reshape(nblocks, width)
-    full = np.empty((nblocks, width))
-
-    out = np.empty(values.shape)
-    for row, dest in zip(values.reshape(-1, n), out.reshape(-1, n)):
-        padded[:n] = row
-        fwd = np.cumsum(blocks, axis=1)
-        bwd = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1]
-        full[:, 0] = fwd[:, -1]
-        np.add(bwd[:-1, 1:], fwd[1:, :-1], out=full[:-1, 1:])
-        dest[: width - 1] = fwd[0, : width - 1]
-        dest[width - 1 :] = full.ravel()[: n - width + 1]
-    return out
+    rows = values.reshape(-1, n)
+    out = np.empty(rows.shape)
+    step = max(_WINDOW_CHUNK // (nblocks * width), 1)
+    for start in range(0, len(rows), step):
+        chunk, dest = rows[start : start + step], out[start : start + step]
+        padded = np.zeros((len(chunk), nblocks * width))
+        padded[:, :n] = chunk
+        blocks = padded.reshape(len(chunk), nblocks, width)
+        fwd = np.add.accumulate(blocks, axis=-1)  # np.cumsum without its wrapper
+        bwd = np.add.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
+        full = np.empty_like(fwd)
+        full[..., 0] = fwd[..., -1]
+        np.add(bwd[:, :-1, 1:], fwd[:, 1:, :-1], out=full[:, :-1, 1:])
+        dest[:, : width - 1] = fwd[:, 0, : width - 1]
+        dest[:, width - 1 :] = full.reshape(len(chunk), -1)[:, : n - width + 1]
+    return out.reshape(values.shape)
 
 
 def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> GammaMatrix:
@@ -351,24 +369,36 @@ def correlation_weights(S: CovEstimate) -> np.ndarray:
     """
     if S.s11 <= 0.0 or S.s22 <= 0.0:
         raise DegenerateDataError("S11*S22 = 0: weight vector undefined")
-    return np.array(
-        [
-            1.0 / math.sqrt(S.s11 * S.s22),
-            -S.s12 / (2.0 * math.sqrt(S.s11**3 * S.s22)),
-            -S.s12 / (2.0 * math.sqrt(S.s11 * S.s22**3)),
-        ]
-    )
+    try:
+        return np.array(
+            [
+                1.0 / math.sqrt(S.s11 * S.s22),
+                -S.s12 / (2.0 * math.sqrt(S.s11**3 * S.s22)),
+                -S.s12 / (2.0 * math.sqrt(S.s11 * S.s22**3)),
+            ]
+        )
+    except (OverflowError, ZeroDivisionError) as exc:  # float ** and / raise, not give inf
+        raise DegenerateDataError(f"weight vector out of float range: {exc}") from exc
 
 
 def estimate_xi(S: CovEstimate, G: GammaMatrix) -> XiValue:
     """Asymptotic variance of the correlation estimator: ``xi = v' G v``.
 
     The finite-sample G need not be positive semidefinite; a negative
-    quadratic form is clamped to 0 and flagged.
+    quadratic form is clamped to 0 and flagged.  A non-finite one (from
+    overflowing terms) raises DegenerateDataError.
     """
     v = correlation_weights(S)
     raw = float(v @ G.values @ v)
+    if not math.isfinite(raw):
+        raise DegenerateDataError(f"asymptotic variance is not finite: v'Gv = {raw}")
     return XiValue(xi=max(raw, 0.0), clamped=raw < 0.0)
+
+
+@lru_cache(maxsize=8)
+def _normal_quantile(level: float) -> float:
+    """Two-sided standard normal quantile ``z`` with ``P(|Z| <= z) = level``."""
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 def confidence_interval(
@@ -386,8 +416,7 @@ def confidence_interval(
     xi_val = xi.xi if isinstance(xi, XiValue) else float(xi)
     if xi_val < 0:
         raise ValueError("xi must be nonnegative")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
-    half = z * math.sqrt(xi_val * T / b_n)
+    half = _normal_quantile(level) * math.sqrt(xi_val * T / b_n)
     lo_raw, hi_raw = C - half, C + half
     return ConfidenceInterval(
         lo_raw=lo_raw,

@@ -180,16 +180,22 @@ def estimate_counts(
 ) -> tuple[float, dict[str, VariantResult]]:
     """Correlation estimate ``C`` and, per variant, ``xi`` and its CI.
 
-    Raises ``estimators.DegenerateDataError`` if S11*S22 = 0 or C is not finite.
+    Raises ``estimators.DegenerateDataError`` if S11*S22 = 0, or if C or an
+    xi is not finite (finite counts and scales whose products overflow), and
+    ValueError if ``a_n``, ``delta_n`` or ``T`` is not positive and finite.
     """
-    tilde = estimators.tilde_series(counts, a_n, delta_n)
-    S = estimators.estimate_S(tilde)
-    C = estimators.estimate_correlation(S)
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError("T must be positive and finite")
     results = {}
-    for variant in variants:
-        xi = estimators.estimate_xi(S, gamma_for_variant(tilde, T, variant, bandwidth_overrides))
-        ci = estimators.confidence_interval(C, xi, counts.b_n, T, level)
-        results[variant] = VariantResult(xi=xi.xi, clamped=xi.clamped, ci=ci)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below instead
+        tilde = estimators.tilde_series(counts, a_n, delta_n)
+        S = estimators.estimate_S(tilde)
+        C = estimators.estimate_correlation(S)
+        for variant in variants:
+            G = gamma_for_variant(tilde, T, variant, bandwidth_overrides)
+            xi = estimators.estimate_xi(S, G)
+            ci = estimators.confidence_interval(C, xi, counts.b_n, T, level)
+            results[variant] = VariantResult(xi=xi.xi, clamped=xi.clamped, ci=ci)
     return C, results
 
 

@@ -209,8 +209,8 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             line = fh.readline()
-        except UnicodeDecodeError as exc:
-            raise CountSeriesError(str(exc)) from exc
+        except UnicodeDecodeError as exc:  # decoding runs ahead of the header line
+            raise CountSeriesError(_first_bad_line(path) or str(exc)) from exc
         if not line:
             raise CountSeriesError("empty file")
         header = next(csv.reader([line]))
@@ -220,7 +220,7 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
             rows = np.loadtxt(fh, delimiter=",", dtype=[("t", "f8"), ("y1", "i8"), ("y2", "i8")],
                               comments=None, quotechar='"', ndmin=1)
         except ValueError as exc:  # field count, non-integer or out-of-range count, non-UTF-8
-            raise CountSeriesError(str(exc)) from exc
+            raise CountSeriesError(_first_bad_line(path) or str(exc)) from exc
 
     if len(rows) < 2:
         raise CountSeriesError("need at least two observation rows")
@@ -239,6 +239,32 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
     except ValueError as exc:
         raise CountSeriesError(str(exc)) from exc
     return counts, float(delta), float(b_n * delta)
+
+
+def _first_bad_line(path: str) -> str | None:
+    """Name the first line of a count file that is not UTF-8, or that is a
+    body line but not a time and two int64 counts; None if none is found.
+
+    Only the error path of :func:`read_count_series` reads the file again.
+    The rules are ``np.loadtxt``'s: blank lines are skipped, a whitespace-only
+    line is a row of one field, and ``1_0`` is no number.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return f"line {lineno}: not UTF-8 text"
+            if lineno == 1 or not line.strip("\r\n"):
+                continue
+            try:
+                t, *ys = [field.replace("_", "x") for field in next(csv.reader([line]))]
+                float(t)
+                if len(ys) != 2 or not all(-(2**63) <= int(y) < 2**63 for y in ys):
+                    raise ValueError
+            except ValueError:
+                return f"line {lineno}: expected a time and two int64 counts, got {line.strip()!r}"
+    return None
 
 
 def write_latent_path(path: str, latent: LatentPath) -> None:

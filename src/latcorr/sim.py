@@ -131,7 +131,7 @@ class CountPath:
             raise ValueError("a count path needs at least two observation times")
         if self.y1[0] != 0 or self.y2[0] != 0:
             raise ValueError("cumulative counts must start at 0")
-        if np.any(np.diff(self.y1) < 0) or np.any(np.diff(self.y2) < 0):
+        if np.any(self.y1[1:] < self.y1[:-1]) or np.any(self.y2[1:] < self.y2[:-1]):
             raise ValueError("cumulative counts must be nondecreasing")
 
     @property
@@ -263,15 +263,15 @@ def simulate_counts(
     if a_n <= 0:
         raise ValueError("a_n must be positive")
     means = np.vstack([lam1, lam2]) * a_n  # (2, b_n)
-    if not np.all(np.isfinite(means)) or np.any(means < 0):
+    lo, hi = means.min(), means.max()  # NaN if any mean is NaN
+    if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("Poisson means must be finite and nonnegative")
-    if np.any(means > _POISSON_MEAN_MAX):
+    if hi > _POISSON_MEAN_MAX:
         raise ValueError("Poisson mean exceeds the supported 64-bit range")
 
-    inc = rng.poisson(means)  # (2, b_n) int64
-    y1 = np.concatenate([[0], np.cumsum(inc[0])]).astype(np.int64)
-    y2 = np.concatenate([[0], np.cumsum(inc[1])]).astype(np.int64)
-    return CountPath(y1=y1, y2=y2)
+    y = np.zeros((2, means.shape[1] + 1), dtype=np.int64)
+    np.cumsum(rng.poisson(means), axis=1, out=y[:, 1:])  # (2, b_n) int64 increments
+    return CountPath(y1=y[0], y2=y[1])
 
 
 def validate_regime(b_n: int, a_n: float) -> RegimeReport:

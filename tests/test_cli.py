@@ -415,3 +415,47 @@ def test_unreadable_input_exits_without_traceback(tmp_path, command, make_input,
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert ("bad counts file" if code == 2 else "cannot read") in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--a-n", "nan", "--a-n must be a positive finite number"),
+     ("--a-n", "-1", "--a-n must be a positive finite number"),
+     ("--level", "1.5", "level must lie strictly between 0 and 1")],
+)
+def test_estimate_checks_arguments_before_reading_counts(tmp_path, capsys, flag, value,
+                                                         message):
+    # the counts file does not exist: a bad argument is reported first, with exit 2
+    argv = ["estimate", "--counts", str(tmp_path / "missing.csv"), "--a-n", "1", flag, value]
+    assert cli.main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("0,0,0\n0.5,3.0,1\n1.0,2,2\n", "line 3: expected a time and two int64 counts, "
+                                     "got '0.5,3.0,1'"),
+     ("0,0,0\n0.5,1\n1.0,2,2\n", "line 3: expected a time and two int64 counts, got '0.5,1'"),
+     ("0,0,0\n\n0.5,1,1\n1_0,2,2\n", "line 5: expected a time and two int64 counts, got '1_0,2,2'"),
+     ("0,0,0\n0.5,1,9223372036854775808\n", "line 3: expected a time and two int64 counts"),
+     ("0,0,0\n   \n0.5,1,1\n", "line 3: expected a time and two int64 counts, got ''")],
+    ids=["float-count", "2-fields", "after-blank-line", "count-above-int64", "whitespace-line"],
+)
+def test_malformed_row_error_names_the_file_line(tmp_path, capsys, body, message):
+    p = tmp_path / "counts.csv"
+    p.write_text("t,y1,y2\n" + body)
+    with pytest.raises(io.CountSeriesError) as info:
+        io.read_count_series(str(p))
+    assert str(info.value).startswith(message)
+    assert cli.main(["estimate", "--counts", str(p), "--a-n", "1"]) == 2
+    assert f"error: bad counts file: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_line", [1, 3, 2003])
+def test_non_utf8_error_names_the_file_line(tmp_path, bad_line):
+    lines = [b"t,y1,y2"] + [b"%d,%d,%d" % (j, j, j) for j in range(2003)]
+    lines[bad_line - 1] = lines[bad_line - 1].replace(b",", b",\xff", 1)
+    p = tmp_path / "counts.csv"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(io.CountSeriesError, match=f"^line {bad_line}: not UTF-8 text$"):
+        io.read_count_series(str(p))

@@ -436,3 +436,23 @@ def test_window_sums_rows_equal_one_dimensional_calls(n, width, rng):
         assert np.array_equal(out, est._window_sums(row, width))
         naive = [row[max(j - width + 1, 0): j + 1].sum() for j in range(n)]
         np.testing.assert_allclose(out, naive, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, width", [((2, 3, 40), 7), ((5, 3000), 50), ((3, 4100), 1)])
+def test_window_sums_leading_axes_equal_one_dimensional_calls(shape, width, rng):
+    # (5, 3000) and (3, 4100) need more than one chunk of _WINDOW_CHUNK elements
+    values = rng.standard_normal(shape)
+    got = est._window_sums(values, width)
+    assert got.shape == shape
+    for row, out in zip(values.reshape(-1, shape[-1]), got.reshape(-1, shape[-1])):
+        assert np.array_equal(out, est._window_sums(row, width))
+
+
+def test_pairmap_of_stacked_matrices_equals_each(rng):
+    G = rng.standard_normal((4, 2, 3, 3))
+    G = G + G.swapaxes(-1, -2)
+    got = est.pairmap(G)
+    assert got.shape == G.shape
+    for g, out in zip(G.reshape(-1, 3, 3), got.reshape(-1, 3, 3)):
+        assert np.array_equal(out, est.pairmap(g))
+        assert np.array_equal(out, out.T)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcorr import estimators as est
 from latcorr import harness, io, sim
@@ -228,3 +230,45 @@ class TestMseStderr:
         moved = [dataclasses.replace(row, mse_stderr=-1.0) for row in rows]
         assert moved == rows
         assert io.mse_table_csv(moved) == io.mse_table_csv(rows)
+
+
+def count_path_and_scales():
+    """A count path of b_n = 4..40 intervals with increments up to 2**56, and
+    finite positive a_n, delta_n and T spanning the float range."""
+    scale = st.floats(1e-300, 1e300)
+    increments = st.integers(4, 40).flatmap(
+        lambda b_n: st.lists(st.integers(0, 2**56), min_size=2 * b_n, max_size=2 * b_n))
+    return st.tuples(increments, scale, scale, scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=count_path_and_scales())
+def test_estimate_counts_finite_or_degenerate(case):
+    increments, a_n, delta_n, T = case
+    inc = np.array(increments, dtype=np.int64).reshape(2, -1)
+    y = np.concatenate([np.zeros((2, 1), dtype=np.int64), np.cumsum(inc, axis=1)], axis=1)
+    counts = sim.CountPath(y1=y[0], y2=y[1])
+    product = a_n * delta_n
+    if not (product > 0.0 and 0.0 < 1.0 / product < math.inf):
+        # the scale 1/(a_n delta_n) itself is out of range: a ValueError (exit 2)
+        with pytest.raises(ValueError, match="no finite nonzero scale"):
+            harness.estimate_counts(counts, a_n, delta_n, T, harness.VARIANTS, 0.95)
+        return
+    try:
+        C, results = harness.estimate_counts(counts, a_n, delta_n, T, harness.VARIANTS, 0.95)
+    except est.DegenerateDataError:
+        return
+    assert -1.0 <= C <= 1.0
+    for res in results.values():
+        assert math.isfinite(res.xi) and res.xi >= 0.0
+        assert -1.0 <= res.ci.lo <= res.ci.hi <= 1.0
+
+
+@pytest.mark.parametrize("name", ["a_n", "delta_n", "T"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_estimate_counts_rejects_non_finite_inputs(name, value):
+    counts = sim.CountPath(y1=np.array([0, 3, 4, 9, 12, 20]), y2=np.array([0, 2, 2, 5, 9, 10]))
+    kwargs = dict(a_n=100.0, delta_n=0.2, T=1.0, variants=harness.VARIANTS, level=0.95)
+    kwargs[name] = value
+    with pytest.raises((ValueError, est.DegenerateDataError)):
+        harness.estimate_counts(counts, **kwargs)
