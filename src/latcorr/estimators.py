@@ -87,6 +87,26 @@ class DegenerateDataError(Exception):
     """Raised when S11*S22 = 0, so correlation-type quantities are undefined."""
 
 
+class _Workspace:
+    """Named float64 work arrays that reuse their memory from call to call.
+
+    ``take(slot, shape)`` returns a C-contiguous array of ``shape`` laid over
+    the slot's flat buffer, which grows to fit and never shrinks.  The next
+    ``take`` of the same slot overwrites it, so a caller must be done with
+    the array before it calls anything that takes that slot again.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, slot: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(slot)
+        if buf is None or buf.size < size:
+            buf = self._buffers[slot] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 @dataclass(frozen=True)
 class TildeSeries:
     """Rate-normalized count increments, ``ytil[k]`` for k = 1..b_n."""
@@ -120,6 +140,21 @@ class TildeSeries:
         rows.flags.writeable = False
         return rows
 
+    @cached_property
+    def work(self) -> _Workspace:
+        """Work arrays shared by the Gamma estimators of this series.
+
+        Its ``"rows"`` slot holds one ``(3, b_n - 1)`` array: the window sums
+        of ``gamma_kernel``, or the lag-2 differences of ``gamma_v2``.  The
+        ``"blocks"`` slot of ``_window_sums`` is sized by the first kernel call.
+        Like ``pair_products``, the buffers live as long as the series, so
+        the three kernel variants of one series allocate them once.  A
+        series is therefore not safe to estimate from two threads at once.
+        """
+        work = _Workspace()
+        work.take("rows", self.pair_products.shape)
+        return work
+
 
 @dataclass(frozen=True)
 class CovEstimate:
@@ -128,6 +163,14 @@ class CovEstimate:
     s12: float
     s11: float
     s22: float
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only :func:`correlation_weights` of this estimate, computed
+        once and shared by every variant's ``xi``."""
+        v = correlation_weights(self)
+        v.flags.writeable = False
+        return v
 
 
 @dataclass(frozen=True)
@@ -282,10 +325,11 @@ def gamma_v2(tilde: TildeSeries, T: float) -> GammaMatrix:
 
     Entry (p, q) is ``(9/8) * (b_n/T) * 1/2 * sum_{k=2}^{b_n-2}
     (D^p_{k+2} - D^p_k)(D^q_{k+2} - D^q_k)``; the whole matrix is positive
-    semidefinite by construction, and zero when b_n < 4.
+    semidefinite by construction, and zero when b_n < 4.  The differences
+    go into the series' ``"rows"`` work array.
     """
     P = tilde.pair_products
-    delta = P[:, 2:] - P[:, :-2]
+    delta = np.subtract(P[:, 2:], P[:, :-2], out=tilde.work.take("rows", P[:, 2:].shape))
     return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / T * 0.5 * (delta @ delta.T))
 
 
@@ -307,7 +351,7 @@ def kernel_partial(
     return float(np.sum(products[lo - 2 : k - 1]) / h)
 
 
-def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
+def _window_sums(values: np.ndarray, width: int, work: _Workspace | None = None) -> np.ndarray:
     """Trailing-window sums along the last axis of a ``(..., n)`` array:
     ``out[..., j] = sum(values[..., max(j-width+1, 0) : j+1])``.
 
@@ -316,32 +360,41 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     every window is the sum of one suffix and one prefix.  Each output is
     therefore an in-order sum of its own terms (no large-prefix
     cancellation), matching naive per-window summation to rounding error.
-    Window ``width-1 + b*width + o`` is ``fwd[b, -1]`` if ``o == 0``, else
-    ``bwd[b, o] + fwd[b+1, o-1]``.  The rows over all leading axes go through
-    the blocks in chunks of at most ``_WINDOW_CHUNK`` elements, one pass per
-    chunk, and at least one row per chunk; a row's outputs do not depend on
-    the chunk it runs in.
+    The window ending at offset ``o`` of block ``b`` is the prefix sum of
+    block ``b`` up to ``o``, plus the suffix sum of block ``b-1`` from
+    ``o+1`` if ``b >= 1`` and ``o < width-1``.  The rows over all leading
+    axes go through the blocks in chunks of at most ``_WINDOW_CHUNK``
+    elements, one pass per chunk, and at least one row per chunk; a row's
+    outputs do not depend on the chunk it runs in.
+
+    Every array is taken from ``work`` (a fresh workspace if None): the
+    result is its ``"rows"`` slot, and the padded, prefix and suffix block
+    arrays, each sized for one chunk, share its ``"blocks"`` slot.  With a
+    series' workspace, the three kernel variants of a long series share one
+    set of buffers instead of allocating row-sized arrays per call.
     """
+    work = _Workspace() if work is None else work
     n = values.shape[-1]
+    out = work.take("rows", values.shape)
     if width >= n:
-        return np.cumsum(values, axis=-1)
+        return np.cumsum(values, axis=-1, out=out)
     nblocks = -(-n // width)
-    rows = values.reshape(-1, n)
-    out = np.empty(rows.shape)
+    rows, dests = values.reshape(-1, n), out.reshape(-1, n)
     step = max(_WINDOW_CHUNK // (nblocks * width), 1)
+    padded, fwd, bwd = work.take("blocks", (3, min(step, len(rows)), nblocks, width))
+    padded.reshape(len(padded), -1)[:, n:] = 0.0  # feeds no output, but must hold no garbage
     for start in range(0, len(rows), step):
-        chunk, dest = rows[start : start + step], out[start : start + step]
-        padded = np.zeros((len(chunk), nblocks * width))
-        padded[:, :n] = chunk
-        blocks = padded.reshape(len(chunk), nblocks, width)
-        fwd = np.add.accumulate(blocks, axis=-1)  # np.cumsum without its wrapper
-        bwd = np.add.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
-        full = np.empty_like(fwd)
-        full[..., 0] = fwd[..., -1]
-        np.add(bwd[:, :-1, 1:], fwd[:, 1:, :-1], out=full[:, :-1, 1:])
-        dest[:, : width - 1] = fwd[:, 0, : width - 1]
-        dest[:, width - 1 :] = full.reshape(len(chunk), -1)[:, : n - width + 1]
-    return out.reshape(values.shape)
+        chunk, dest = rows[start : start + step], dests[start : start + step]
+        k = len(chunk)
+        if k < len(padded):  # the last of several chunks
+            padded, fwd, bwd = padded[:k], fwd[:k], bwd[:k]
+        padded.reshape(k, -1)[:, :n] = chunk
+        np.add.accumulate(padded, axis=-1, out=fwd)  # np.cumsum without its wrapper
+        np.add.accumulate(padded[..., ::-1], axis=-1, out=bwd)
+        suffix = bwd[..., ::-1]
+        np.add(fwd[:, 1:, :-1], suffix[:, :-1, 1:], out=fwd[:, 1:, :-1])  # now the windows
+        dest[:] = fwd.reshape(k, -1)[:, :n]
+    return out
 
 
 def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> GammaMatrix:
@@ -354,11 +407,14 @@ def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> Gamm
             ( W^{a1 a2}[k] W^{b1 b2}[k] + W^{a1 b2}[k] W^{b1 a2}[k] ).
 
     Window sums are maintained by rolling updates, so the total cost is
-    O(b_n) rather than O(b_n * n(h)).
+    O(b_n) rather than O(b_n * n(h)).  They are computed in, and divided by
+    h in, the work arrays of ``tilde.work``, which every kernel call on the
+    same series reuses.
     """
     b_n = tilde.b_n
     h, n_h = bandwidth.resolve(b_n, T)
-    W = _window_sums(tilde.pair_products, n_h) / h
+    W = _window_sums(tilde.pair_products, n_h, tilde.work)
+    W /= h
     return GammaMatrix(values=9.0 / 8.0 * T / b_n * pairmap(W @ W.T))
 
 
@@ -386,9 +442,10 @@ def estimate_xi(S: CovEstimate, G: GammaMatrix) -> XiValue:
 
     The finite-sample G need not be positive semidefinite; a negative
     quadratic form is clamped to 0 and flagged.  A non-finite one (from
-    overflowing terms) raises DegenerateDataError.
+    overflowing terms) raises DegenerateDataError.  The weights are
+    ``S.weights``, computed on the first call for this ``S``.
     """
-    v = correlation_weights(S)
+    v = S.weights
     raw = float(v @ G.values @ v)
     if not math.isfinite(raw):
         raise DegenerateDataError(f"asymptotic variance is not finite: v'Gv = {raw}")

@@ -232,10 +232,11 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
         raise CountSeriesError("observation times must be strictly increasing")
     b_n = len(times) - 1
     delta = (times[-1] - times[0]) / b_n
-    if np.max(np.abs(steps - delta)) > EQUIDISTANCE_RTOL * delta:
+    deviation = np.abs(np.subtract(steps, delta, out=steps), out=steps)
+    if np.max(deviation) > EQUIDISTANCE_RTOL * delta:
         raise CountSeriesError("observation times must be equidistant (rel. tol. 1e-9)")
-    try:
-        counts = CountPath(y1=np.ascontiguousarray(rows["y1"]), y2=np.ascontiguousarray(rows["y2"]))
+    try:  # the count columns stay views of the parsed records
+        counts = CountPath(y1=rows["y1"], y2=rows["y2"])
     except ValueError as exc:
         raise CountSeriesError(str(exc)) from exc
     return counts, float(delta), float(b_n * delta)

@@ -459,3 +459,27 @@ def test_non_utf8_error_names_the_file_line(tmp_path, bad_line):
     p.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(io.CountSeriesError, match=f"^line {bad_line}: not UTF-8 text$"):
         io.read_count_series(str(p))
+
+
+def test_parser_reused_across_calls_gives_fresh_process_output(tmp_path, capsys):
+    # one process: an argparse error, then one variant, then the default of all five
+    config = harness.ExperimentConfig(model=sim.ModelParams(
+        mu1=0.2, mu2=0.3, sigma1=0.2, sigma2=0.3, rho=0.7, x1_0=1.0, x2_0=2.0, T=1.0),
+        b_n=(64,), r=(3.0,), seed=5)
+    design, _, counts = harness.simulate_replication(config, 64, 3.0, 0)
+    path = tmp_path / "counts.csv"
+    io.write_count_series(str(path), counts, design.delta_n)
+    base = ["estimate", "--counts", str(path), "--a-n", repr(design.a_n), "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv in (base + ["--variant", "x"], base + ["--variant", "1"], base):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "latcorr.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()[1:]] == \
+        list(harness.VARIANTS)
+    assert cli.build_parser() is cli.build_parser()

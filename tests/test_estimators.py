@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcorr import estimators as est
-from latcorr import sim
+from latcorr import harness, sim
 from reference import (
     brute_gamma_kernel,
     brute_gamma_v1,
@@ -456,3 +456,31 @@ def test_pairmap_of_stacked_matrices_equals_each(rng):
     for g, out in zip(G.reshape(-1, 3, 3), got.reshape(-1, 3, 3)):
         assert np.array_equal(out, est.pairmap(g))
         assert np.array_equal(out, out.T)
+
+
+@pytest.mark.parametrize(
+    "b_n, widths",
+    # n = b_n - 1.  b_n = 41: the three rows share one block pass; widths 4 and 8
+    # divide n = 40, 3 and 7 do not, and 40 and 41 take the cumsum branch.  b_n =
+    # 9001: each row is longer than _WINDOW_CHUNK and runs alone; widths 30, 1000
+    # and 4500 divide n = 9000, 7 and 5000 do not.  The order makes the block
+    # buffers grow and shrink between calls.
+    [(41, [7, 40, 1, 8, 41, 3, 4]),
+     (9001, [7, 9000, 1, 1000, 5000, 30, 4500])],
+    ids=["short-rows", "long-rows"],
+)
+def test_kernel_calls_on_one_series_equal_calls_on_fresh_copies(b_n, widths, rng):
+    assert 3 * (b_n - 1) <= est._WINDOW_CHUNK or b_n - 1 > est._WINDOW_CHUNK
+    tilde = random_tilde(rng, b_n)
+
+    def fresh():
+        return est.TildeSeries(y1=tilde.y1.copy(), y2=tilde.y2.copy())
+
+    calls = [lambda t, w=w: est.gamma_kernel(t, 1.0, est.BandwidthSpec.explicit(w / b_n))
+             for w in widths]
+    calls.insert(2, lambda t: est.gamma_v2(t, 1.0))  # shares the "rows" work array
+    calls.append(lambda t: harness.gamma_for_variant(t, 1.0, "w", {"w": 5 / b_n}))
+    calls.append(lambda t: harness.gamma_for_variant(t, 1.0, "n"))
+    shared = [call(tilde).values for call in calls]
+    for call, got in zip(calls, shared):
+        assert got.tobytes() == call(fresh()).values.tobytes()

@@ -75,3 +75,31 @@ def test_estimate_report_pinned(tmp_path, capsys):
     assert list(got) == list(ESTIMATE)
     for variant, pinned in ESTIMATE.items():
         assert got[variant] == pytest.approx(pinned, rel=RTOL, abs=0), variant
+
+
+LONG_ESTIMATE = {
+    # variant: (C, xi, ci_lo, ci_hi) for replication 2 of the cell b_n = 12000, r = 3;
+    # each product row is longer than estimators._WINDOW_CHUNK, so rows run one per pass
+    '1': (0.694161743903351, 0.3034813326300879, 0.684305227268201, 0.7040182605385009),
+    '2': (0.694161743903351, 0.3034745274326592, 0.6843053377789812, 0.7040181500277207),
+    'w': (0.694161743903351, 0.2899832049703934, 0.6845269175747541, 0.7037965702319477),
+    'm': (0.694161743903351, 0.3058719878598478, 0.6842664813762311, 0.7040570064304708),
+    'n': (0.694161743903351, 0.3089261130285408, 0.684217202092906, 0.7041062857137959),
+}
+
+
+def test_long_estimate_report_pinned(tmp_path, capsys):
+    config = harness.ExperimentConfig(model=MODEL, b_n=(12000,), r=(3.0,), seed=20260809)
+    design, _, counts = harness.simulate_replication(config, 12000, 3.0, 2)
+    path = tmp_path / "counts.csv"
+    io.write_count_series(str(path), counts, design.delta_n)
+    code = cli.main(["estimate", "--counts", str(path), "--a-n", repr(design.a_n),
+                     "--format", "csv"])
+    assert code == 0
+    got = {}
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        fields = line.split(",")
+        got[fields[0]] = tuple(float(fields[i]) for i in (1, 2, 4, 5))
+    assert list(got) == list(LONG_ESTIMATE)
+    for variant, pinned in LONG_ESTIMATE.items():
+        assert got[variant] == pytest.approx(pinned, rel=RTOL, abs=0), variant
