@@ -87,26 +87,6 @@ class DegenerateDataError(Exception):
     """Raised when S11*S22 = 0, so correlation-type quantities are undefined."""
 
 
-class _Workspace:
-    """Named float64 work arrays that reuse their memory from call to call.
-
-    ``take(slot, shape)`` returns a C-contiguous array of ``shape`` laid over
-    the slot's flat buffer, which grows to fit and never shrinks.  The next
-    ``take`` of the same slot overwrites it, so a caller must be done with
-    the array before it calls anything that takes that slot again.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, slot: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(slot)
-        if buf is None or buf.size < size:
-            buf = self._buffers[slot] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
 @dataclass(frozen=True)
 class TildeSeries:
     """Rate-normalized count increments, ``ytil[k]`` for k = 1..b_n."""
@@ -139,21 +119,6 @@ class TildeSeries:
         np.multiply(d2, d2, out=rows[2])
         rows.flags.writeable = False
         return rows
-
-    @cached_property
-    def work(self) -> _Workspace:
-        """Work arrays shared by the Gamma estimators of this series.
-
-        Its ``"rows"`` slot holds one ``(3, b_n - 1)`` array: the window sums
-        of ``gamma_kernel``, or the lag-2 differences of ``gamma_v2``.  The
-        ``"blocks"`` slot of ``_window_sums`` is sized by the first kernel call.
-        Like ``pair_products``, the buffers live as long as the series, so
-        the three kernel variants of one series allocate them once.  A
-        series is therefore not safe to estimate from two threads at once.
-        """
-        work = _Workspace()
-        work.take("rows", self.pair_products.shape)
-        return work
 
 
 @dataclass(frozen=True)
@@ -325,11 +290,10 @@ def gamma_v2(tilde: TildeSeries, T: float) -> GammaMatrix:
 
     Entry (p, q) is ``(9/8) * (b_n/T) * 1/2 * sum_{k=2}^{b_n-2}
     (D^p_{k+2} - D^p_k)(D^q_{k+2} - D^q_k)``; the whole matrix is positive
-    semidefinite by construction, and zero when b_n < 4.  The differences
-    go into the series' ``"rows"`` work array.
+    semidefinite by construction, and zero when b_n < 4.
     """
     P = tilde.pair_products
-    delta = np.subtract(P[:, 2:], P[:, :-2], out=tilde.work.take("rows", P[:, 2:].shape))
+    delta = P[:, 2:] - P[:, :-2]
     return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / T * 0.5 * (delta @ delta.T))
 
 
@@ -340,7 +304,7 @@ def kernel_partial(
 
     ``products`` is one per-pair series from :func:`increment_products`
     (index 0 <-> l = 2).  This direct form is the reference; the estimator
-    itself uses rolling windows.
+    takes every window from one block prefix/suffix pass (``_window_sums``).
     """
     if len(products) != b_n - 1:
         raise ValueError("products length must be b_n - 1")
@@ -351,7 +315,7 @@ def kernel_partial(
     return float(np.sum(products[lo - 2 : k - 1]) / h)
 
 
-def _window_sums(values: np.ndarray, width: int, work: _Workspace | None = None) -> np.ndarray:
+def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     """Trailing-window sums along the last axis of a ``(..., n)`` array:
     ``out[..., j] = sum(values[..., max(j-width+1, 0) : j+1])``.
 
@@ -367,34 +331,29 @@ def _window_sums(values: np.ndarray, width: int, work: _Workspace | None = None)
     elements, one pass per chunk, and at least one row per chunk; a row's
     outputs do not depend on the chunk it runs in.
 
-    Every array is taken from ``work`` (a fresh workspace if None): the
-    result is its ``"rows"`` slot, and the padded, prefix and suffix block
-    arrays, each sized for one chunk, share its ``"blocks"`` slot.  With a
-    series' workspace, the three kernel variants of a long series share one
-    set of buffers instead of allocating row-sized arrays per call.
+    The windows are formed in place in one prefix array for all rows; the
+    result is a view of it, C-contiguous only when ``width`` divides ``n``.
     """
-    work = _Workspace() if work is None else work
     n = values.shape[-1]
-    out = work.take("rows", values.shape)
     if width >= n:
-        return np.cumsum(values, axis=-1, out=out)
+        return np.cumsum(values, axis=-1)
     nblocks = -(-n // width)
-    rows, dests = values.reshape(-1, n), out.reshape(-1, n)
+    rows = values.reshape(-1, n)
+    fwd = np.empty((len(rows), nblocks, width))
     step = max(_WINDOW_CHUNK // (nblocks * width), 1)
-    padded, fwd, bwd = work.take("blocks", (3, min(step, len(rows)), nblocks, width))
+    padded, bwd = np.empty((2, min(step, len(rows)), nblocks, width))
     padded.reshape(len(padded), -1)[:, n:] = 0.0  # feeds no output, but must hold no garbage
     for start in range(0, len(rows), step):
-        chunk, dest = rows[start : start + step], dests[start : start + step]
+        chunk, dest = rows[start : start + step], fwd[start : start + step]
         k = len(chunk)
         if k < len(padded):  # the last of several chunks
-            padded, fwd, bwd = padded[:k], fwd[:k], bwd[:k]
+            padded, bwd = padded[:k], bwd[:k]
         padded.reshape(k, -1)[:, :n] = chunk
-        np.add.accumulate(padded, axis=-1, out=fwd)  # np.cumsum without its wrapper
+        np.add.accumulate(padded, axis=-1, out=dest)  # np.cumsum without its wrapper
         np.add.accumulate(padded[..., ::-1], axis=-1, out=bwd)
         suffix = bwd[..., ::-1]
-        np.add(fwd[:, 1:, :-1], suffix[:, :-1, 1:], out=fwd[:, 1:, :-1])  # now the windows
-        dest[:] = fwd.reshape(k, -1)[:, :n]
-    return out
+        np.add(dest[:, 1:, :-1], suffix[:, :-1, 1:], out=dest[:, 1:, :-1])  # now the windows
+    return fwd.reshape(len(rows), -1)[:, :n].reshape(values.shape)
 
 
 def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> GammaMatrix:
@@ -406,14 +365,12 @@ def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> Gamm
         (9/8) * (T/b_n) * sum_{k=2}^{b_n}
             ( W^{a1 a2}[k] W^{b1 b2}[k] + W^{a1 b2}[k] W^{b1 a2}[k] ).
 
-    Window sums are maintained by rolling updates, so the total cost is
-    O(b_n) rather than O(b_n * n(h)).  They are computed in, and divided by
-    h in, the work arrays of ``tilde.work``, which every kernel call on the
-    same series reuses.
+    The window sums come from the block prefix/suffix pass of ``_window_sums``,
+    in O(b_n) rather than O(b_n * n(h)), and are divided by h in place.
     """
     b_n = tilde.b_n
     h, n_h = bandwidth.resolve(b_n, T)
-    W = _window_sums(tilde.pair_products, n_h, tilde.work)
+    W = _window_sums(tilde.pair_products, n_h)
     W /= h
     return GammaMatrix(values=9.0 / 8.0 * T / b_n * pairmap(W @ W.T))
 

@@ -168,8 +168,9 @@ def simulate_replication(
     a_n = float(b_n) ** r
     design = sim.SamplingDesign(b_n=b_n, a_n=a_n, m=config.refinement, T=config.model.T)
     rng = sim.replication_rng(config.seed, b_n, r, index)
-    path = sim.simulate_latent(config.model, design, rng)
-    counts = sim.simulate_counts(sim.integrated_intensity(path, design), a_n, rng)
+    with np.errstate(over="ignore"):  # an overflow gives inf, which simulate_counts rejects
+        path = sim.simulate_latent(config.model, design, rng)
+        counts = sim.simulate_counts(sim.integrated_intensity(path, design), a_n, rng)
     return design, path, counts
 
 

@@ -106,7 +106,7 @@ def parse_config(doc: dict) -> ConfigFile:
     try:
         model = ModelParams(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+        raise ConfigError(f"model.{exc}") from exc
 
     b_n_doc = _require(doc, "b_n")
     if not isinstance(b_n_doc, list) or not b_n_doc:

@@ -50,17 +50,23 @@ class ModelParams:
     T: float = 1.0
 
     def __post_init__(self):
+        # every message starts with the field's name, so a config reader can name its key
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise ValueError("sigma1 and sigma2 must be nonnegative")
+        for name in ("sigma1", "sigma2"):
+            sigma = getattr(self, name)
+            if sigma < 0:
+                raise ValueError(f"{name} must be nonnegative, got {sigma!r}")
+            if sigma * sigma == math.inf:  # the drift's sigma**2 / 2 would overflow
+                raise ValueError(f"{name} = {sigma!r} is too large: its square overflows a float")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
-        if self.x1_0 <= 0 or self.x2_0 <= 0:
-            raise ValueError("initial intensities x1_0, x2_0 must be positive")
+        for name in ("x1_0", "x2_0"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} (an initial intensity) must be positive")
         if self.T <= 0:
-            raise ValueError("horizon T must be positive")
+            raise ValueError("T (the horizon) must be positive")
 
 
 @dataclass(frozen=True)

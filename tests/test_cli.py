@@ -317,6 +317,44 @@ def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, model_patch, ov
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "model_patch, command, message, draws",
+    [
+        ({"sigma1": 1e200}, "simulate", "model.sigma1 = 1e+200", False),
+        ({"sigma1": 1e200}, "mse-table", "model.sigma1 = 1e+200", False),
+        ({"sigma2": 2e154}, "rate-check", "model.sigma2 = 2e+154", False),
+        ({"mu1": 1e300}, "simulate", "Poisson means must be finite", True),
+        ({"mu1": 1e300}, "mse-table", "Poisson means must be finite", True),
+        ({"x2_0": 1e308}, "rate-check", "Poisson means must be finite", True),
+    ],
+    ids=["sigma-simulate", "sigma-mse-table", "sigma-rate-check", "mu-simulate",
+         "mu-mse-table", "x0-rate-check"],
+)
+def test_overflowing_model_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                      model_patch, command, message, draws):
+    """A model whose sigma**2 overflows is rejected with its key before any
+    replication draws; one whose path overflows fails at its first draw."""
+    rngs, replication_rng = [], sim.replication_rng
+
+    def spy(*args):
+        rngs.append(args)
+        return replication_rng(*args)
+
+    monkeypatch.setattr(sim, "replication_rng", spy)
+    model = json.loads(write_config(tmp_path).read_text())["model"]
+    b_n = [8, 16, 32] if command == "rate-check" else [8]
+    cfg = write_config(tmp_path, model={**model, **model_patch}, b_n=b_n)
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if command != "rate-check" else []
+    assert cli.main([command, "--config", str(cfg), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert bool(rngs) == draws
+
+
 def test_cli_simulate_then_estimate_matches_run_replication(tmp_path, capsys):
     """``simulate`` then ``estimate`` reproduces the harness's replication;
     only the count file's times, which re-derive delta_n, separate the two."""

@@ -1,4 +1,6 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
 
 import numpy as np
 import pytest
@@ -464,7 +466,7 @@ def test_pairmap_of_stacked_matrices_equals_each(rng):
     # divide n = 40, 3 and 7 do not, and 40 and 41 take the cumsum branch.  b_n =
     # 9001: each row is longer than _WINDOW_CHUNK and runs alone; widths 30, 1000
     # and 4500 divide n = 9000, 7 and 5000 do not.  The order makes the block
-    # buffers grow and shrink between calls.
+    # arrays grow and shrink between calls.
     [(41, [7, 40, 1, 8, 41, 3, 4]),
      (9001, [7, 9000, 1, 1000, 5000, 30, 4500])],
     ids=["short-rows", "long-rows"],
@@ -478,9 +480,32 @@ def test_kernel_calls_on_one_series_equal_calls_on_fresh_copies(b_n, widths, rng
 
     calls = [lambda t, w=w: est.gamma_kernel(t, 1.0, est.BandwidthSpec.explicit(w / b_n))
              for w in widths]
-    calls.insert(2, lambda t: est.gamma_v2(t, 1.0))  # shares the "rows" work array
+    calls.insert(2, lambda t: est.gamma_v2(t, 1.0))
     calls.append(lambda t: harness.gamma_for_variant(t, 1.0, "w", {"w": 5 / b_n}))
     calls.append(lambda t: harness.gamma_for_variant(t, 1.0, "n"))
     shared = [call(tilde).values for call in calls]
     for call, got in zip(calls, shared):
         assert got.tobytes() == call(fresh()).values.tobytes()
+
+
+def test_concurrent_kernel_calls_on_one_series_equal_calls_on_fresh_copies(rng):
+    """Three threads estimate from one shared long series at once; an
+    estimator that kept buffers on the series would mix their window sums."""
+    b_n, exponents, repeats = 46_800, (0.25, 0.5, 0.75), 4
+    tilde = random_tilde(rng, b_n)
+
+    def kernel(t, e):
+        return est.gamma_kernel(t, 1.0, est.BandwidthSpec.from_exponent(e)).values.tobytes()
+
+    expected = {e: kernel(est.TildeSeries(y1=tilde.y1.copy(), y2=tilde.y2.copy()), e)
+                for e in exponents}
+    start = Barrier(len(exponents), timeout=60)
+
+    def run(e):
+        start.wait()
+        return [kernel(tilde, e) for _ in range(repeats)]
+
+    with ThreadPoolExecutor(len(exponents)) as pool:
+        got = dict(zip(exponents, pool.map(run, exponents)))
+    for e in exponents:
+        assert got[e] == [expected[e]] * repeats, e
