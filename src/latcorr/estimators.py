@@ -224,7 +224,11 @@ def tilde_series(counts: CountPath, a_n: float, delta_n: float) -> TildeSeries:
     scale = 1.0 / product if product > 0.0 else math.inf
     if not 0.0 < scale < math.inf:
         raise ValueError(f"a_n * delta_n = {product!r} gives no finite nonzero scale")
-    return TildeSeries(y1=np.diff(counts.y1) * scale, y2=np.diff(counts.y2) * scale)
+    rows = np.empty((2, counts.b_n))
+    for row, y in zip(rows, (counts.y1, counts.y2)):
+        np.subtract(y[1:], y[:-1], out=row)  # int64 differences cast once, as np.diff's
+    rows *= scale
+    return TildeSeries(y1=rows[0], y2=rows[1])
 
 
 def increment_products(tilde: TildeSeries) -> dict[tuple[int, int], np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -202,8 +203,12 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
 
     Enforces the format contract: header ``t,y1,y2``; finite, strictly
     increasing, equidistant times (relative tolerance 1e-9); integer
-    cumulative counts starting at 0 and nondecreasing.
+    cumulative counts starting at 0 and nondecreasing.  Only regular files are
+    read, and no name ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``.
     """
+    full_path = os.path.abspath(path)  # numpy would fetch a name that parses as a URL
+    if full_path.endswith((".gz", ".bz2", ".xz", ".lzma")):  # numpy would decompress it
+        raise CountSeriesError(f"count files are plain text, not compressed: {path!r}")
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         # a body without rows is reported below, not by numpy's empty-input warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -216,8 +221,11 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
         header = next(csv.reader([line]))
         if [h.strip() for h in header] != ["t", "y1", "y2"]:
             raise CountSeriesError(f"expected header 't,y1,y2', got {','.join(header)!r}")
-        try:
-            rows = np.loadtxt(fh, delimiter=",", dtype=[("t", "f8"), ("y1", "i8"), ("y2", "i8")],
+        if not os.path.isfile(full_path):  # a pipe could not be read a second time below
+            raise OSError(f"not a regular file: {path!r}")
+        try:  # by path, numpy reads the file in chunks in C, not line by line
+            rows = np.loadtxt(full_path, skiprows=1, encoding="utf-8", delimiter=",",
+                              dtype=[("t", "f8"), ("y1", "i8"), ("y2", "i8")],
                               comments=None, quotechar='"', ndmin=1)
         except ValueError as exc:  # field count, non-integer or out-of-range count, non-UTF-8
             raise CountSeriesError(_first_bad_line(path) or str(exc)) from exc

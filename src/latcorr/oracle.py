@@ -146,6 +146,9 @@ def truth_record(path: LatentPath, params: ModelParams) -> TruthRecord:
     """Compute all targets for one path in a single pass, in the Gram form
     of :func:`true_gamma_halfsum`; :func:`true_U` and :func:`true_gamma` are
     the reference forms."""
-    u, gamma = _gram_targets(path, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target raises below
+        u, gamma = _gram_targets(path, params)
+    if not (np.isfinite(u).all() and np.isfinite(gamma.values).all()):
+        raise ValueError("path-wise targets U or gamma overflow a float")
     U, R = _cov_and_R(*u)
     return TruthRecord(U=U, R=R, gamma=gamma, xi=true_xi(U, gamma))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -521,3 +522,174 @@ def test_parser_reused_across_calls_gives_fresh_process_output(tmp_path, capsys)
     assert code == 0 and [line.split(",")[0] for line in out.splitlines()[1:]] == \
         list(harness.VARIANTS)
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("command", ["mse-table", "rate-check"])
+def test_overflowing_truth_exits_2_with_one_error_line(tmp_path, command):
+    # sigma1**2 is a finite float, but the path-wise gamma's products are not
+    model = json.loads(write_config(tmp_path).read_text())["model"]
+    cfg = write_config(tmp_path, model={**model, "sigma1": 1.3e154}, b_n=[8, 16, 32])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "latcorr.cli", command, "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: path-wise targets U or gamma overflow a float\n"
+
+
+def _handle_reader(path):
+    """``io.read_count_series`` as it was when numpy got the open text handle,
+    which it iterates line by line; the path form must agree with it."""
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            line = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise io.CountSeriesError(io._first_bad_line(path) or str(exc)) from exc
+        if not line:
+            raise io.CountSeriesError("empty file")
+        header = next(csv.reader([line]))
+        if [h.strip() for h in header] != ["t", "y1", "y2"]:
+            raise io.CountSeriesError(f"expected header 't,y1,y2', got {','.join(header)!r}")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", dtype=[("t", "f8"), ("y1", "i8"), ("y2", "i8")],
+                              comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise io.CountSeriesError(io._first_bad_line(path) or str(exc)) from exc
+
+    if len(rows) < 2:
+        raise io.CountSeriesError("need at least two observation rows")
+    times = rows["t"]
+    if not np.all(np.isfinite(times)):
+        raise io.CountSeriesError("observation times must be finite")
+    steps = np.diff(times)
+    if np.any(steps <= 0):
+        raise io.CountSeriesError("observation times must be strictly increasing")
+    b_n = len(times) - 1
+    delta = (times[-1] - times[0]) / b_n
+    deviation = np.abs(np.subtract(steps, delta, out=steps), out=steps)
+    if np.max(deviation) > io.EQUIDISTANCE_RTOL * delta:
+        raise io.CountSeriesError("observation times must be equidistant (rel. tol. 1e-9)")
+    try:
+        counts = sim.CountPath(y1=rows["y1"], y2=rows["y2"])
+    except ValueError as exc:
+        raise io.CountSeriesError(str(exc)) from exc
+    return counts, float(delta), float(b_n * delta)
+
+
+def _outcome(reader, path):
+    """Arrays and floats by their bits, or the exception's type and message."""
+    try:
+        counts, delta, T = reader(str(path))
+    except Exception as exc:  # whatever the exception, both readers must raise it alike
+        return type(exc), str(exc)
+    return (counts.y1.dtype, counts.y1.tobytes(), counts.y2.dtype, counts.y2.tobytes(),
+            delta.hex(), T.hex())
+
+
+@st.composite
+def count_file_bytes(draw):
+    """Count files that are mostly well formed, with the irregular line ends,
+    quoting, blank lines, bad fields and bytes a hand-edited file may have."""
+    n = draw(st.one_of(st.integers(0, 30), st.just(700)))  # 700 rows pass one read buffer
+    step = draw(st.sampled_from([0.5, 0.1, 1 / 3, 1e-3, 7.0]))
+    top = draw(st.sampled_from([2, 50, 2**40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ys = np.vstack([np.zeros((1, 2), dtype=np.int64),
+                    np.cumsum(rng.integers(0, top, (max(n - 1, 0), 2)), axis=0)])
+    rows = [[repr(j * step), str(ys[j, 0]), str(ys[j, 1])] for j in range(n)]
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):  # still valid
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
+        rows[row][col] = draw(st.sampled_from(['"{}"', " {} ", "\t{}"])).format(rows[row][col])
+    fields = st.sampled_from(["", " 7 ", '"3"', "3.0", "1_0", "nan", "inf", "-1", "1e3", "0x1",
+                              "9223372036854775808", '"1\n2"', "#", '"'])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 2))] = draw(fields)
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        extra = draw(st.sampled_from(["", "", "   ", "\t", "#c", "1,2", "1,2,3,4", "0.5,1,1"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    header = draw(st.sampled_from(["t,y1,y2"] * 4 + [" t , y1 ,y2", 't,y1,"y2', '"t","y1","y2"',
+                                                     "\ufefft,y1,y2", "t,y1", "t;y1;y2"]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in [header, *lines])
+    if not draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=count_file_bytes())
+def test_path_reader_equals_handle_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("equivalence") / "counts.csv"
+    path.write_bytes(data)
+    assert _outcome(io.read_count_series, path) == _outcome(_handle_reader, path)
+
+
+_ROWS = "0,0,0\n0.5,1,2\n1.0,3,3\n1.5,4,7\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [("t,y1,y2\n" + _ROWS).replace("\n", "\r\n").encode(),
+     ("t,y1,y2\n" + _ROWS).replace("\n", "\r").encode(),
+     ('t,y1,"y2\n' + _ROWS).encode(),
+     ("t,y1,y2\n\n0,0,0\n\n\n0.5,1,2\n1.0,3,3\n").encode(),
+     ("t,y1,y2\n0,0,0\n \t \n0.5,1,2\n").encode(),
+     b"t,y1,y2\n",
+     b"t,y1,y2",
+     ("t,y1,y2\n" + _ROWS).rstrip("\n").encode(),
+     b"t,y\xff1,y2\n" + _ROWS.encode(),
+     b"t,y1,y2\n0,0,0\n0.5,\xff1,2\n",
+     b"t,y1,y2\n" + b"".join(b"%d,%d,%d\n" % (j, j, j) for j in range(2000)) + b"2000,\xff,1\n",
+     ("\ufefft,y1,y2\n" + _ROWS).encode()],
+    ids=["crlf", "lone-cr", "quoted-header-field", "blank-lines", "whitespace-line",
+         "header-only", "header-only-no-newline", "no-final-newline", "non-utf8-header",
+         "non-utf8-body", "non-utf8-past-read-buffer", "utf8-bom"],
+)
+def test_path_reader_equals_handle_reader_on_irregular_files(tmp_path, data):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(data)
+    assert _outcome(io.read_count_series, path) == _outcome(_handle_reader, path)
+
+
+def test_name_that_parses_as_a_url_is_read_as_a_local_file(tmp_path, monkeypatch):
+    import urllib.request
+
+    def no_fetch(*args, **kwargs):
+        raise AssertionError("a count file name was fetched as a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    monkeypatch.chdir(tmp_path)
+    name = "http://example.invalid/counts.csv"
+    os.makedirs(os.path.dirname(name))
+    Path(name).write_text("t,y1,y2\n" + _ROWS)
+    assert _outcome(io.read_count_series, name) == _outcome(_handle_reader, name)
+    assert io.read_count_series(name)[0].b_n == 3
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_suffix_rejected_before_reading(tmp_path, suffix):
+    # numpy decompresses by suffix; these files are plain text, so it would fail mid-read
+    path = tmp_path / f"counts.csv{suffix}"
+    path.write_text("t,y1,y2\n" + _ROWS)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "latcorr.cli", "estimate", "--counts", str(path),
+                           "--a-n", "1"], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: bad counts file: count files are plain text, not "
+                           f"compressed: {str(path)!r}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_counts_from_a_pipe_exit_1(tmp_path):
+    # numpy reads the file by name after the header, which a pipe cannot give twice
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "latcorr.cli", "estimate", "--counts",
+                           "/dev/stdin", "--a-n", "1"], input="t,y1,y2\n" + _ROWS, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: cannot read input: not a regular file: '/dev/stdin'\n"

@@ -509,3 +509,15 @@ def test_concurrent_kernel_calls_on_one_series_equal_calls_on_fresh_copies(rng):
         got = dict(zip(exponents, pool.map(run, exponents)))
     for e in exponents:
         assert got[e] == [expected[e]] * repeats, e
+
+
+def test_tilde_series_keeps_int64_differences_of_counts_above_2_53():
+    # the differences are taken in int64 and cast once, as np.diff(y) * scale does;
+    # a float subtraction would round both counts near 2**62 to the same float
+    y1 = np.array([0, 2**62 + 1, 2**62 + 3, 2**62 + 2**54 + 5])
+    y2 = np.array([0, 1, 2**53 + 1, 2**53 + 2])
+    tilde = est.tilde_series(sim.CountPath(y1=y1, y2=y2), a_n=3.0, delta_n=0.1)
+    scale = 1.0 / (3.0 * 0.1)
+    assert tilde.y1.tobytes() == (np.diff(y1) * scale).tobytes()
+    assert tilde.y2.tobytes() == (np.diff(y2) * scale).tobytes()
+    assert tilde.y1[1] == 2 * scale
