@@ -4,13 +4,17 @@ A grid cell is one (b_n, r) pair with ``a_n = b_n**r``.  Every replication
 owns an RNG substream derived from ``(seed, b_n, r, index)``, simulates one
 latent path and one count path (:func:`simulate_replication`), estimates C
 and every requested xi and CI from the counts (:func:`estimate_counts`, which
-the CLI also calls), and computes the path-wise truth.  Replications run one
-after another on the calling thread, and cell aggregation is a fixed-order
-fold over replication indices.
+the CLI also calls), and computes the path-wise truth.  The latent layer
+(paths, counts and truth) of up to :data:`CHUNK` consecutive replications is
+computed together, with every substream consumed as for one replication
+alone; estimation and everything after it run one replication at a time on
+the calling thread, and cell aggregation is a fixed-order fold over
+replication indices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,6 +41,17 @@ __all__ = [
 ]
 
 VARIANTS = ("1", "2", "w", "m", "n")
+
+#: Most consecutive replications whose latent layer is computed together.
+CHUNK = 8
+#: Bytes of fine-grid work arrays a chunk may hold: one replication peaks at
+#: about ``_FINE_ROWS`` float64 rows of ``b_n*m`` values, and a chunk takes
+#: fewer than CHUNK replications when they would exceed this (8 up to
+#: ``b_n*m`` = 512, 4 at 1024, 2 at 2048, 1 from 4096 on).  At this size each
+#: array stays under glibc's default 128 KiB mmap threshold and is reused from
+#: the heap; at 512 KiB a desk round left the process 0.5 MiB more resident.
+CHUNK_BYTES = 1 << 18
+_FINE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -165,13 +180,44 @@ def simulate_replication(
     Deterministic given ``(config.seed, b_n, r, index)``: the replication's
     substream is consumed by the latent normals, then the Poisson draws.
     """
+    return _simulate(config.model, config.refinement, b_n, r,
+                     sim.replication_rng(config.seed, b_n, r, index))
+
+
+def _simulate(model: sim.ModelParams, refinement: int, b_n: int, r: float, rng):
+    """:func:`simulate_replication` for the replication whose generator is
+    ``rng``, or for a list of generators, one per replication: the path and
+    the counts then have a leading replication axis."""
     a_n = float(b_n) ** r
-    design = sim.SamplingDesign(b_n=b_n, a_n=a_n, m=config.refinement, T=config.model.T)
-    rng = sim.replication_rng(config.seed, b_n, r, index)
+    design = sim.SamplingDesign(b_n=b_n, a_n=a_n, m=refinement, T=model.T)
     with np.errstate(over="ignore"):  # an overflow gives inf, which simulate_counts rejects
-        path = sim.simulate_latent(config.model, design, rng)
+        path = sim.simulate_latent(model, design, rng)
         counts = sim.simulate_counts(sim.integrated_intensity(path, design), a_n, rng)
     return design, path, counts
+
+
+def _latent_layer(seed: int, model: sim.ModelParams, refinement: int, b_n: int, r: float,
+                  indices: range):
+    """Design, then ``(counts, true_R, true_xi)`` per replication in ``indices``,
+    computed together; the counts are read-only, as the chunk cache shares them."""
+    rngs = [sim.replication_rng(seed, b_n, r, i) for i in indices]
+    design, path, counts = _simulate(model, refinement, b_n, r, rngs)
+    truths = oracle.truth_record(path, model)
+    for y in (counts.y1, counts.y2):
+        y.flags.writeable = False
+    return design, tuple((row, t.R, t.xi) for row, t in zip(counts.rows(), truths))
+
+
+@functools.lru_cache(maxsize=1)
+def _latent_chunk(seed: int, model: sim.ModelParams, refinement: int, b_n: int, r: float,
+                  start: int, stop: int):
+    """:func:`_latent_layer` of replications ``start..stop-1``, or None if one
+    of them fails.  Keeps only the chunk :func:`run_cell` is working through;
+    the arguments are every input that fixes it."""
+    try:
+        return _latent_layer(seed, model, refinement, b_n, r, range(start, stop))
+    except Exception:  # not swallowed: run_replication reruns each index alone, which raises it
+        return None
 
 
 def estimate_counts(
@@ -208,12 +254,26 @@ def run_replication(
     Deterministic given ``(config.seed, b_n, r, index)``.  A replication with
     degenerate count data (S11*S22 = 0) is flagged, not fatal; a degenerate
     model (zero volatility) aborts immediately.
+
+    The latent layer comes from the chunk of consecutive replications that
+    ``index`` falls in, computed on the first call and kept until another
+    chunk is asked for.  A replication outside ``config.replications``, or
+    one of a chunk in which some replication fails, is computed alone, so
+    it raises its own error, or none, whatever its neighbours do.
     """
     if config.model.sigma1 == 0.0 or config.model.sigma2 == 0.0:
         raise estimators.DegenerateDataError(
             "model has a zero volatility: true correlation targets are undefined")
-    design, path, counts = simulate_replication(config, b_n, r, index)
-    truth = oracle.truth_record(path, config.model)
+    key = (config.seed, config.model, config.refinement, b_n, r)
+    size = max(1, min(CHUNK, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * config.refinement)))
+    start = index - index % size
+    chunk = None
+    if 0 <= index < config.replications:
+        chunk = _latent_chunk(*key, start, min(start + size, config.replications))
+    if chunk is None:
+        chunk, start = _latent_layer(*key, range(index, index + 1)), index
+    design, latent = chunk
+    counts, true_R, true_xi = latent[index - start]
     try:
         C, results = estimate_counts(counts, design.a_n, design.delta_n, config.model.T,
                                      config.variants, config.ci_level,
@@ -222,7 +282,7 @@ def run_replication(
         C, results = None, {}
     return ReplicationRecord(
         index=index, b_n=b_n, r=r, degenerate=C is None, C=C, results=results,
-        true_R=truth.R, true_xi=truth.xi,
+        true_R=true_R, true_xi=true_xi,
     )
 
 

@@ -110,20 +110,27 @@ def true_gamma(path: LatentPath, params: ModelParams) -> GammaMatrix:
     return GammaMatrix(values=g)
 
 
-def _gram_targets(path: LatentPath, params: ModelParams) -> tuple[np.ndarray, GammaMatrix]:
+def _gram_targets(path: LatentPath, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Targets in Gram form: ``U = (2/3) D w`` and ``gamma = 1/2 pairmap((D w) D')``.
 
-    ``D`` (3, n) holds the pointwise dots ``x_a . x_b`` of the diffusion rows
-    in PAIRS order, ``(rho s1 s2 X1 X2, s1^2 X1^2, s2^2 X2^2)``, and ``w`` the
-    trapezoid weights.
+    ``D`` (..., 3, n) holds the pointwise dots ``x_a . x_b`` of the diffusion
+    rows in PAIRS order, ``(rho s1 s2 X1 X2, s1^2 X1^2, s2^2 X2^2)``, and
+    ``w`` the trapezoid weights; ``U`` has shape (..., 3) and ``gamma``
+    (..., 3, 3), with the path's leading axes.
     """
-    s1x1 = params.sigma1 * path.x1
-    s2x2 = params.sigma2 * path.x2
-    dots = np.array([params.rho * s1x1 * s2x2, s1x1 * s1x1, s2x2 * s2x2])
+    dots = np.empty(path.x1.shape[:-1] + (3, path.n_nodes))
+    cross, s1x1, s2x2 = dots[..., 0, :], dots[..., 1, :], dots[..., 2, :]
+    np.multiply(params.sigma1, path.x1, out=s1x1)
+    np.multiply(params.sigma2, path.x2, out=s2x2)
+    np.multiply(params.rho, s1x1, out=cross)
+    cross *= s2x2
+    s1x1 *= s1x1
+    s2x2 *= s2x2
     w = np.full(path.n_nodes, _grid_step(path))
     w[[0, -1]] *= 0.5
-    root = dots * np.sqrt(w)  # a Gram product of one array is exactly symmetric
-    return (2.0 / 3.0) * (dots @ w), GammaMatrix(values=0.5 * pairmap(root @ root.T))
+    u = (2.0 / 3.0) * (dots @ w)
+    dots *= np.sqrt(w)  # the Gram root; a Gram product of one array is exactly symmetric
+    return u, 0.5 * pairmap(dots @ dots.swapaxes(-1, -2))
 
 
 def true_gamma_halfsum(path: LatentPath, params: ModelParams) -> GammaMatrix:
@@ -133,7 +140,7 @@ def true_gamma_halfsum(path: LatentPath, params: ModelParams) -> GammaMatrix:
     Algebraically equal to :func:`true_gamma`; this is the Gram form that
     :func:`truth_record` uses.
     """
-    return _gram_targets(path, params)[1]
+    return GammaMatrix(values=_gram_targets(path, params)[1])
 
 
 def true_xi(U: CovEstimate, gamma: GammaMatrix) -> float:
@@ -142,13 +149,27 @@ def true_xi(U: CovEstimate, gamma: GammaMatrix) -> float:
     return float(v @ gamma.values @ v)
 
 
-def truth_record(path: LatentPath, params: ModelParams) -> TruthRecord:
-    """Compute all targets for one path in a single pass, in the Gram form
-    of :func:`true_gamma_halfsum`; :func:`true_U` and :func:`true_gamma` are
-    the reference forms."""
+def truth_record(path: LatentPath, params: ModelParams) -> TruthRecord | list[TruthRecord]:
+    """Compute all targets in a single pass, in the Gram form of
+    :func:`true_gamma_halfsum`; :func:`true_U` and :func:`true_gamma` are the
+    reference forms.
+
+    A path with a leading replication axis gives one record per replication,
+    as a list, each equal to the record of that path alone.  Raises
+    ValueError if a target or the weight vector of ``xi`` is out of float
+    range, and DegenerateDataError if ``U11*U22 = 0``.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target raises below
         u, gamma = _gram_targets(path, params)
-    if not (np.isfinite(u).all() and np.isfinite(gamma.values).all()):
+    if not (np.isfinite(u).all() and np.isfinite(gamma).all()):
         raise ValueError("path-wise targets U or gamma overflow a float")
-    U, R = _cov_and_R(*u)
-    return TruthRecord(U=U, R=R, gamma=gamma, xi=true_xi(U, gamma))
+    records = []
+    for u_k, gamma_k in zip(u.reshape(-1, 3), gamma.reshape(-1, 3, 3)):
+        U, R = _cov_and_R(*u_k)
+        G = GammaMatrix(values=gamma_k)
+        try:
+            xi = true_xi(U, G)
+        except DegenerateDataError as exc:  # the model's truth, not the data, is out of range
+            raise ValueError(f"path-wise xi: {exc}") from exc
+        records.append(TruthRecord(U=U, R=R, gamma=G, xi=xi))
+    return records if path.x1.ndim > 1 else records[0]

@@ -14,6 +14,7 @@ lives on a finer grid with ``m`` subintervals per observation interval.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -107,15 +108,16 @@ class LatentPath:
     """Latent intensity trajectory on the fine grid.
 
     ``times`` has length ``b_n*m + 1``; ``x1``/``x2`` hold the (strictly
-    positive) intensity levels at those nodes.
+    positive) intensity levels at those nodes, with a leading replication
+    axis when several paths are simulated together.
     """
 
     times: np.ndarray  # (b_n*m + 1,)
-    x1: np.ndarray     # (b_n*m + 1,)
-    x2: np.ndarray     # (b_n*m + 1,)
+    x1: np.ndarray     # (..., b_n*m + 1)
+    x2: np.ndarray     # (..., b_n*m + 1)
 
     def __post_init__(self):
-        if not (len(self.times) == len(self.x1) == len(self.x2)):
+        if not (len(self.times) == self.x1.shape[-1] == self.x2.shape[-1]):
             raise ValueError("times, x1, x2 must have equal length")
 
     @property
@@ -125,24 +127,37 @@ class LatentPath:
 
 @dataclass(frozen=True)
 class CountPath:
-    """Cumulative counts at the ``b_n + 1`` observation times (y[0] = 0)."""
+    """Cumulative counts at the ``b_n + 1`` observation times (y[..., 0] = 0),
+    with a leading replication axis when several paths are drawn together."""
 
-    y1: np.ndarray  # (b_n + 1,) int64
-    y2: np.ndarray  # (b_n + 1,) int64
+    y1: np.ndarray  # (..., b_n + 1) int64
+    y2: np.ndarray  # (..., b_n + 1) int64
 
     def __post_init__(self):
-        if len(self.y1) != len(self.y2):
+        if self.y1.shape != self.y2.shape:
             raise ValueError("y1 and y2 must have equal length")
-        if len(self.y1) < 2:
+        if self.y1.shape[-1] < 2:
             raise ValueError("a count path needs at least two observation times")
-        if self.y1[0] != 0 or self.y2[0] != 0:
+        if (self.y1[..., 0] != 0).any() or (self.y2[..., 0] != 0).any():
             raise ValueError("cumulative counts must start at 0")
-        if np.any(self.y1[1:] < self.y1[:-1]) or np.any(self.y2[1:] < self.y2[:-1]):
+        if (self.y1[..., 1:] < self.y1[..., :-1]).any() or (
+                self.y2[..., 1:] < self.y2[..., :-1]).any():
             raise ValueError("cumulative counts must be nondecreasing")
 
     @property
     def b_n(self) -> int:
-        return len(self.y1) - 1
+        return self.y1.shape[-1] - 1
+
+    def rows(self) -> list[CountPath]:
+        """The count paths along the leading axis, as views; a row of a
+        checked path needs no checks of its own."""
+        rows = []
+        for y1, y2 in zip(self.y1, self.y2):
+            row = object.__new__(CountPath)
+            object.__setattr__(row, "y1", y1)
+            object.__setattr__(row, "y2", y2)
+            rows.append(row)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -167,11 +182,13 @@ def replication_rng(root_seed: int, b_n: int, r: float, index: int) -> np.random
     count Poisson draws (one ``(2, b_n)`` block).
     """
     key = (int(b_n), int(round(1000.0 * r)) & 0xFFFFFFFF, int(index))
-    return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=key))
+    # what default_rng builds from a SeedSequence, without its dispatch on the seed's type
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(root_seed, spawn_key=key)))
 
 
 def simulate_latent(
-    params: ModelParams, design: SamplingDesign, rng: np.random.Generator
+    params: ModelParams, design: SamplingDesign,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> LatentPath:
     """Simulate the latent GBM pair on the fine grid by exact log-normal steps.
 
@@ -188,8 +205,11 @@ def simulate_latent(
     params : ModelParams
     design : SamplingDesign
         Must share the horizon ``T`` with ``params``.
-    rng : numpy.random.Generator
-        Consumes exactly one ``(2, b_n*m)`` block of standard normals.
+    rng : numpy.random.Generator, or a sequence of R of them
+        Each consumes exactly one ``(2, b_n*m)`` block of standard normals.
+        A sequence simulates R paths at once: the path arrays then have a
+        leading axis of length R, and path k equals the one simulated from
+        ``rng[k]`` alone.
 
     Returns
     -------
@@ -201,33 +221,42 @@ def simulate_latent(
     dt = params.T / n
     sqdt = math.sqrt(dt)
 
-    z = rng.standard_normal((2, n))
-    z1 = z[0]
-    z2 = params.rho * z[0] + math.sqrt(1.0 - params.rho**2) * z[1]
+    one = isinstance(rng, np.random.Generator)
+    z = np.empty((2, n) if one else (len(rng), 2, n))
+    for g, out in [(rng, z)] if one else zip(rng, z):
+        g.standard_normal(out=out)
+    z[..., 1, :] *= math.sqrt(1.0 - params.rho**2)
+    z[..., 1, :] += params.rho * z[..., 0, :]
 
-    log_inc1 = (params.mu1 - 0.5 * params.sigma1**2) * dt + params.sigma1 * sqdt * z1
-    log_inc2 = (params.mu2 - 0.5 * params.sigma2**2) * dt + params.sigma2 * sqdt * z2
-
-    x1 = np.empty(n + 1)
-    x2 = np.empty(n + 1)
-    x1[0] = params.x1_0
-    x2[0] = params.x2_0
-    np.exp(np.cumsum(log_inc1) + math.log(params.x1_0), out=x1[1:])
-    np.exp(np.cumsum(log_inc2) + math.log(params.x2_0), out=x2[1:])
+    # per-coordinate constants, as (2, 1) columns against the (..., 2, n) rows
+    drift, scale, log_x0, x0 = np.array([
+        [(params.mu1 - 0.5 * params.sigma1**2) * dt, (params.mu2 - 0.5 * params.sigma2**2) * dt],
+        [params.sigma1 * sqdt, params.sigma2 * sqdt],
+        [math.log(params.x1_0), math.log(params.x2_0)],
+        [params.x1_0, params.x2_0],
+    ])[..., None]
+    z *= scale
+    z += drift  # the log increments
+    np.cumsum(z, axis=-1, out=z)
+    z += log_x0
+    x = np.empty(z.shape[:-1] + (n + 1,))
+    x[..., :1] = x0
+    np.exp(z, out=x[..., 1:])
 
     times = np.arange(n + 1) * dt
-    return LatentPath(times=times, x1=x1, x2=x2)
+    return LatentPath(times=times, x1=x[..., 0, :], x2=x[..., 1, :])
 
 
 def integrated_intensity(path: LatentPath, design: SamplingDesign) -> tuple[np.ndarray, np.ndarray]:
     """Per-observation-interval integrals of the latent intensities.
 
     Trapezoidal rule over the ``m`` fine subintervals of each observation
-    interval:  ``lam[j-1] ~= int_{t_{j-1}}^{t_j} X_s ds`` for j = 1..b_n.
+    interval:  ``lam[..., j-1] ~= int_{t_{j-1}}^{t_j} X_s ds`` for j = 1..b_n.
 
     Returns
     -------
-    (lam1, lam2) : pair of (b_n,) arrays, strictly positive.
+    (lam1, lam2) : pair of (..., b_n) arrays, strictly positive, with the
+        path's leading axes.
     """
     if path.n_nodes != design.n_fine + 1:
         raise ValueError(
@@ -236,14 +265,15 @@ def integrated_intensity(path: LatentPath, design: SamplingDesign) -> tuple[np.n
     dt = design.T / design.n_fine
 
     def per_interval(x: np.ndarray) -> np.ndarray:
-        cell = 0.5 * dt * (x[:-1] + x[1:])               # (b_n*m,)
-        return cell.reshape(design.b_n, design.m).sum(axis=1)
+        cell = 0.5 * dt * (x[..., :-1] + x[..., 1:])      # (..., b_n*m)
+        return cell.reshape(x.shape[:-1] + (design.b_n, design.m)).sum(axis=-1)
 
     return per_interval(path.x1), per_interval(path.x2)
 
 
 def simulate_counts(
-    intensities: tuple[np.ndarray, np.ndarray], a_n: float, rng: np.random.Generator
+    intensities: tuple[np.ndarray, np.ndarray], a_n: float,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> CountPath:
     """Draw the count path given the integrated intensities.
 
@@ -258,8 +288,10 @@ def simulate_counts(
         Per-interval integrals from :func:`integrated_intensity`.
     a_n : float
         Intensity scale, > 0.
-    rng : numpy.random.Generator
-        Consumes exactly one ``(2, b_n)`` block of Poisson draws.
+    rng : numpy.random.Generator, or a sequence of R of them
+        Each consumes exactly one ``(2, b_n)`` block of Poisson draws.  A
+        sequence draws R count paths, one per leading row of
+        ``intensities``, each from its own generator.
 
     Returns
     -------
@@ -268,16 +300,20 @@ def simulate_counts(
     lam1, lam2 = intensities
     if a_n <= 0:
         raise ValueError("a_n must be positive")
-    means = np.vstack([lam1, lam2]) * a_n  # (2, b_n)
+    means = np.empty(lam1.shape[:-1] + (2, lam1.shape[-1]))  # (..., 2, b_n)
+    np.multiply(lam1, a_n, out=means[..., 0, :])
+    np.multiply(lam2, a_n, out=means[..., 1, :])
     lo, hi = means.min(), means.max()  # NaN if any mean is NaN
     if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("Poisson means must be finite and nonnegative")
     if hi > _POISSON_MEAN_MAX:
         raise ValueError("Poisson mean exceeds the supported 64-bit range")
 
-    y = np.zeros((2, means.shape[1] + 1), dtype=np.int64)
-    np.cumsum(rng.poisson(means), axis=1, out=y[:, 1:])  # (2, b_n) int64 increments
-    return CountPath(y1=y[0], y2=y[1])
+    y = np.zeros(means.shape[:-1] + (means.shape[-1] + 1,), dtype=np.int64)
+    one = isinstance(rng, np.random.Generator)
+    for g, mean, out in [(rng, means, y)] if one else zip(rng, means, y, strict=True):
+        np.cumsum(g.poisson(mean), axis=-1, out=out[..., 1:])  # int64 increments
+    return CountPath(y1=y[..., 0, :], y2=y[..., 1, :])
 
 
 def validate_regime(b_n: int, a_n: float) -> RegimeReport:

@@ -536,6 +536,21 @@ def test_overflowing_truth_exits_2_with_one_error_line(tmp_path, command):
     assert proc.stderr == "error: path-wise targets U or gamma overflow a float\n"
 
 
+@pytest.mark.parametrize("command", ["mse-table", "rate-check"])
+@pytest.mark.parametrize("sigma1", [1e60, 1e-120])
+def test_truth_weights_out_of_range_exit_2_with_one_error_line(tmp_path, command, sigma1):
+    # U and gamma are finite, but U11**3 in xi's weights overflows (1e60) or underflows
+    # to a zero divisor (1e-120): a fault of the model's truth, not of the count data
+    model = json.loads(write_config(tmp_path).read_text())["model"]
+    cfg = write_config(tmp_path, model={**model, "sigma1": sigma1}, b_n=[8, 16, 32])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "latcorr.cli", command, "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: path-wise xi: weight vector out of float range: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def _handle_reader(path):
     """``io.read_count_series`` as it was when numpy got the open text handle,
     which it iterates line by line; the path form must agree with it."""

@@ -272,3 +272,65 @@ def test_estimate_counts_rejects_non_finite_inputs(name, value):
     kwargs[name] = value
     with pytest.raises((ValueError, est.DegenerateDataError)):
         harness.estimate_counts(counts, **kwargs)
+
+
+def _hexes(rec: harness.ReplicationRecord) -> list:
+    xis = [float(res.xi).hex() for res in rec.results.values()]
+    return [None if rec.C is None else float(rec.C).hex(), float(rec.true_xi).hex(), *xis]
+
+
+@pytest.mark.parametrize("b_n", [16, 256])  # chunks of 8 and of 2 replications
+@pytest.mark.parametrize("replications", [1, 3, 8, 11, 20])
+def test_run_cell_equals_single_replications_in_reverse_order(study_model, replications, b_n):
+    # run_cell computes the latent layer of consecutive replications together; one
+    # replication asked for alone, from another chunk or none, must not differ in a bit
+    cfg = small_config(study_model, b_n=(b_n,), variants=harness.VARIANTS,
+                       replications=replications, seed=2026)
+    other = dataclasses.replace(cfg, replications=7)
+    cell = harness.run_cell(cfg, b_n, 3.0)
+    alone = [harness.run_replication(other, b_n, 3.0, i) for i in reversed(range(replications))]
+    alone.reverse()
+    assert cell == alone
+    assert [_hexes(rec) for rec in cell] == [_hexes(rec) for rec in alone]
+
+
+def test_simulate_replication_gives_the_counts_of_the_chunk(study_model):
+    cfg = small_config(study_model, replications=11)
+    design, latent = harness._latent_chunk(cfg.seed, cfg.model, cfg.refinement, 16, 3.0, 8, 11)
+    for i, (counts, _, _) in zip(range(8, 11), latent):
+        alone_design, _, alone = harness.simulate_replication(cfg, 16, 3.0, i)
+        assert alone_design == design
+        assert counts.y1.tobytes() == alone.y1.tobytes()
+        assert counts.y2.tobytes() == alone.y2.tobytes()
+        assert not (counts.y1.flags.writeable or counts.y2.flags.writeable)
+
+
+class _FixedNormals(np.random.Generator):
+    """A generator whose standard normals are fixed per row; Poisson draws are real."""
+
+    def __init__(self, rows):
+        super().__init__(np.random.PCG64(0))
+        self.rows = np.reshape(rows, (-1, 1))
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = self.rows
+        return out
+
+
+def test_errors_surface_in_index_order_within_a_chunk(study_model, monkeypatch):
+    # a_n = 16**-150 keeps the Poisson means finite where X1 ~ 1e160 overflows the truth
+    r = -150.0
+    cfg = small_config(study_model, r=(r,), replications=8)
+    before = harness.run_replication(cfg, 16, r, 3)
+    real = sim.replication_rng
+    rigged = {2: _FixedNormals([163.0, -160.0]),  # X1 ~ 1e160, X2 finite: the truth overflows
+              5: _FixedNormals([1e6, 0.0])}  # X1 = inf: the simulation fails
+    monkeypatch.setattr(sim, "replication_rng", lambda seed, b_n, r, i: rigged.get(i)
+                        or real(seed, b_n, r, i))
+    harness._latent_chunk.cache_clear()  # it holds the chunk of the real generators
+    with pytest.raises(ValueError, match="Poisson means"):
+        harness.run_replication(cfg, 16, r, 5)
+    with pytest.raises(ValueError, match="path-wise targets U or gamma overflow"):
+        harness.run_cell(cfg, 16, r)
+    assert harness.run_replication(cfg, 16, r, 3) == before
