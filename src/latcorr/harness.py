@@ -40,7 +40,7 @@ __all__ = [
     "rate_check",
 ]
 
-VARIANTS = ("1", "2", "w", "m", "n")
+VARIANTS = ("1", "2", *estimators.VARIANT_EXPONENTS)
 
 #: Most consecutive replications whose latent layer is computed together.
 CHUNK = 8
@@ -98,7 +98,7 @@ class ExperimentConfig:
             raise ValueError("refinement must be at least 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie strictly between 0 and 1")
-        bad = [v for v in self.bandwidth_overrides if v not in ("w", "m", "n")]
+        bad = [v for v in self.bandwidth_overrides if v not in estimators.VARIANT_EXPONENTS]
         if bad:
             raise ValueError(f"bandwidth_overrides only apply to kernel variants, got {bad}")
         # every override must give a window on every grid before any work starts

@@ -12,11 +12,12 @@ import io as _io
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Literal, get_args
 
 import numpy as np
 
-from .harness import VARIANTS, ExperimentConfig, MseRow
+from .harness import ExperimentConfig, MseRow
 from .sim import CountPath, LatentPath, ModelParams
 
 __all__ = [
@@ -45,39 +46,89 @@ class CountSeriesError(ValueError):
     """Count-series file violates the format contract."""
 
 
+#: the table formats ``mse-table`` writes
+TableFormat = Literal["csv", "md"]
+
+
 @dataclass(frozen=True)
 class ConfigFile:
-    """Parsed configuration document: experiment grid plus output options."""
+    """Parsed configuration document: experiment grid plus output options.
+
+    The document's keys are the fields of :class:`ExperimentConfig` (those
+    of :class:`ModelParams` under ``model``) and the output fields below;
+    a field without a default is a required key.
+    """
 
     experiment: ExperimentConfig
     out: str | None = None
-    format: str = "csv"
+    format: TableFormat = "csv"
     latent_out: str | None = None
 
 
-_MODEL_KEYS = ("mu1", "mu2", "sigma1", "sigma2", "rho", "x1_0", "x2_0", "T")
-_TOP_KEYS = (
-    "model", "b_n", "r", "variants", "replications", "seed", "refinement",
-    "ci_level", "bandwidth_overrides", "out", "format", "latent_out",
-)
+#: the fields of :class:`ConfigFile` that are top-level keys: all but ``experiment``
+_OUTPUTS = fields(ConfigFile)[1:]
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ConfigError(f"missing required key '{key}'")
-    return doc[key]
-
-
-def _as_number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
+def _expect(ok: bool, value, key: str, what: str):
+    if not ok:
+        raise ConfigError(f"key '{key}' must be {what}, got {value!r}")
     return value
+
+
+def _number(value, key: str) -> float:
+    return float(_expect(isinstance(value, (int, float)) and not isinstance(value, bool),
+                         value, key, "a number"))
+
+
+def _integer(value, key: str) -> int:
+    return _expect(isinstance(value, int) and not isinstance(value, bool), value, key, "an integer")
+
+
+def _nonempty_list(item, what: str):
+    return lambda value, key: tuple(item(x, key) for x in _expect(
+        isinstance(value, list) and value, value, key, f"a nonempty list of {what}"))
+
+
+#: How a field reads from JSON, by its annotation as written (``Field.type`` is
+#: that string, as annotations are postponed): ``read(value, key)`` returns the
+#: field's value or raises a ConfigError that names ``key``.
+_READERS = {
+    "float": _number,
+    "int": _integer,
+    "tuple[int, ...]": _nonempty_list(_integer, "integers"),
+    "tuple[float, ...]": _nonempty_list(_number, "numbers"),
+    "tuple[str, ...]": lambda value, key: tuple(_expect(
+        isinstance(value, list) and all(isinstance(v, str) for v in value),
+        value, key, "a list of strings")),
+    "dict[str, float]": lambda value, key: {
+        k: _number(v, f"{key}.{k}")
+        for k, v in _expect(isinstance(value, dict), value, key, "an object").items()},
+    "str | None": lambda value, key: _expect(
+        value is None or isinstance(value, str), value, key, "a string path"),
+    "TableFormat": lambda value, key: _expect(
+        value in get_args(TableFormat), value, key, " or ".join(map(repr, get_args(TableFormat)))),
+    "sim.ModelParams": lambda value, key: _read(
+        ModelParams, _expect(isinstance(value, dict), value, key, "an object"), f"{key}."),
+}
+
+
+def _read(cls, doc: dict, prefix: str = "", beside=(), **given):
+    """``cls(**given, ...)`` with every other field read from its key in ``doc``;
+    the keys of the fields ``beside`` may stand in ``doc`` too, and any other
+    key is an error.  ``prefix`` leads the key an error names."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls) + beside if f.name not in given})
+    if unknown:
+        raise ConfigError(f"unknown key '{prefix}{unknown[0]}'")
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in doc:
+            values[f.name] = _READERS[f.type](doc[f.name], prefix + f.name)
+        elif f.default is MISSING and f.default_factory is MISSING and f.name not in given:
+            raise ConfigError(f"missing required key '{f.name}'")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def parse_config(doc: dict) -> ConfigFile:
@@ -88,74 +139,8 @@ def parse_config(doc: dict) -> ConfigFile:
     """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = sorted(set(doc) - set(_TOP_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown key '{unknown[0]}'")
-
-    model_doc = _require(doc, "model")
-    if not isinstance(model_doc, dict):
-        raise ConfigError("key 'model' must be an object")
-    unknown = sorted(set(model_doc) - set(_MODEL_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown key 'model.{unknown[0]}'")
-    kwargs = {}
-    for k in _MODEL_KEYS:
-        if k == "T":
-            kwargs[k] = _as_number(model_doc.get("T", 1.0), "model.T")
-        else:
-            kwargs[k] = _as_number(_require(model_doc, k), f"model.{k}")
-    try:
-        model = ModelParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"model.{exc}") from exc
-
-    b_n_doc = _require(doc, "b_n")
-    if not isinstance(b_n_doc, list) or not b_n_doc:
-        raise ConfigError("key 'b_n' must be a nonempty list of integers")
-    b_n = tuple(_as_int(b, "b_n") for b in b_n_doc)
-
-    r_doc = _require(doc, "r")
-    if not isinstance(r_doc, list) or not r_doc:
-        raise ConfigError("key 'r' must be a nonempty list of numbers")
-    r = tuple(_as_number(x, "r") for x in r_doc)
-
-    variants_doc = doc.get("variants", list(VARIANTS))
-    if not isinstance(variants_doc, list) or not all(isinstance(v, str) for v in variants_doc):
-        raise ConfigError("key 'variants' must be a list of strings")
-
-    overrides_doc = doc.get("bandwidth_overrides", {})
-    if not isinstance(overrides_doc, dict):
-        raise ConfigError("key 'bandwidth_overrides' must be an object")
-    overrides = {
-        k: _as_number(v, f"bandwidth_overrides.{k}") for k, v in overrides_doc.items()
-    }
-
-    try:
-        experiment = ExperimentConfig(
-            model=model,
-            b_n=b_n,
-            r=r,
-            variants=tuple(variants_doc),
-            replications=_as_int(doc.get("replications", 1000), "replications"),
-            seed=_as_int(doc.get("seed", 0), "seed"),
-            refinement=_as_int(doc.get("refinement", 8), "refinement"),
-            ci_level=_as_number(doc.get("ci_level", 0.95), "ci_level"),
-            bandwidth_overrides=overrides,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("key 'out' must be a string path")
-    latent_out = doc.get("latent_out")
-    if latent_out is not None and not isinstance(latent_out, str):
-        raise ConfigError("key 'latent_out' must be a string path")
-    fmt = doc.get("format", "csv")
-    if fmt not in ("csv", "md"):
-        raise ConfigError("key 'format' must be 'csv' or 'md'")
-
-    return ConfigFile(experiment=experiment, out=out, format=fmt, latent_out=latent_out)
+    experiment = _read(ExperimentConfig, doc, beside=_OUTPUTS)
+    return _read(ConfigFile, doc, beside=fields(ExperimentConfig), experiment=experiment)
 
 
 def load_config(path: str) -> ConfigFile:
@@ -169,24 +154,8 @@ def load_config(path: str) -> ConfigFile:
 
 def serialize_config(cf: ConfigFile) -> dict:
     """Inverse of :func:`parse_config` (parse -> serialize -> parse is identity)."""
-    exp = cf.experiment
-    doc = {
-        "model": {k: getattr(exp.model, k) for k in _MODEL_KEYS},
-        "b_n": list(exp.b_n),
-        "r": list(exp.r),
-        "variants": list(exp.variants),
-        "replications": exp.replications,
-        "seed": exp.seed,
-        "refinement": exp.refinement,
-        "ci_level": exp.ci_level,
-        "bandwidth_overrides": dict(exp.bandwidth_overrides),
-        "format": cf.format,
-    }
-    if cf.out is not None:
-        doc["out"] = cf.out
-    if cf.latent_out is not None:
-        doc["latent_out"] = cf.latent_out
-    return doc
+    doc = {**asdict(cf.experiment), **{f.name: getattr(cf, f.name) for f in _OUTPUTS}}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items() if v is not None}
 
 
 def write_count_series(path: str, counts: CountPath, delta_n: float) -> None:

@@ -32,8 +32,9 @@ __all__ = [
     "validate_regime",
 ]
 
-# numpy's Generator.poisson rejects means above ~9.22e18; anything close to
-# that would overflow cumulative int64 counts anyway.
+# Bound on each count path's total Poisson mean: its draws sum to the path's
+# last int64 count, which a total below 9e18 keeps 2e17 from overflowing, and
+# numpy's Generator.poisson rejects any one mean above ~9.22e18.
 _POISSON_MEAN_MAX = 9.0e18
 
 
@@ -306,8 +307,8 @@ def simulate_counts(
     lo, hi = means.min(), means.max()  # NaN if any mean is NaN
     if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("Poisson means must be finite and nonnegative")
-    if hi > _POISSON_MEAN_MAX:
-        raise ValueError("Poisson mean exceeds the supported 64-bit range")
+    if means.sum(axis=-1).max() > _POISSON_MEAN_MAX:  # covers each mean, as none is negative
+        raise ValueError("Poisson means of a count path sum past the supported 64-bit range")
 
     y = np.zeros(means.shape[:-1] + (means.shape[-1] + 1,), dtype=np.int64)
     one = isinstance(rng, np.random.Generator)

@@ -318,6 +318,49 @@ def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, model_patch, ov
     assert not out.exists()
 
 
+WRONG_TYPED = {
+    "model": 1, "b_n": "8", "r": "3.0", "variants": "w", "replications": "3", "seed": 1.5,
+    "refinement": "4", "ci_level": "0.9", "bandwidth_overrides": [0.3], "out": 1,
+    "format": 1, "latent_out": 1,
+    **{f"model.{k}": "1.0" for k in ("mu1", "mu2", "sigma1", "sigma2", "rho", "x1_0", "x2_0", "T")},
+    **{f"bandwidth_overrides.{v}": "0.3" for v in ("w", "m", "n")},
+}
+
+
+@pytest.mark.parametrize("key", list(WRONG_TYPED))
+def test_wrong_typed_key_exits_2_naming_the_key(tmp_path, capsys, key):
+    doc = json.loads(write_config(tmp_path).read_text())
+    section, _, name = key.rpartition(".")
+    if section:
+        doc[section] = {**doc.get(section, {}), name: WRONG_TYPED[key]}
+    else:
+        doc[key] = WRONG_TYPED[key]
+    cfg = write_config(tmp_path, **doc)
+    out = tmp_path / "out.csv"
+    assert cli.main(["mse-table", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"key '{key}' must be " in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_config_setting_every_key_round_trips(tmp_path):
+    doc = {
+        "model": {"mu1": 0.2, "mu2": -0.1, "sigma1": 0.25, "sigma2": 0.3, "rho": -0.4,
+                  "x1_0": 1.5, "x2_0": 2.0, "T": 2.0},
+        "b_n": [16, 32], "r": [2.5, 3.0], "variants": ["n", "1", "w"], "replications": 7,
+        "seed": 5, "refinement": 3, "ci_level": 0.9,
+        "bandwidth_overrides": {"w": 0.3, "m": 0.45, "n": 0.6},
+        "out": "table.md", "format": "md", "latent_out": "latent.csv",
+    }
+    cf = io.parse_config(doc)
+    assert (cf.out, cf.format, cf.latent_out) == ("table.md", "md", "latent.csv")
+    assert cf.experiment.ci_level == 0.9 and cf.experiment.model.T == 2.0
+    assert io.serialize_config(cf) == doc
+    assert io.parse_config(json.loads(json.dumps(io.serialize_config(cf)))) == cf
+
+
 @pytest.mark.parametrize(
     "model_patch, command, message, draws",
     [
@@ -354,6 +397,21 @@ def test_overflowing_model_exits_2_with_one_error_line(tmp_path, capsys, monkeyp
     assert captured.out == ""
     assert not out.exists()
     assert bool(rngs) == draws
+
+
+@pytest.mark.parametrize("command", ["mse-table", "simulate"])
+def test_overflowing_cumulative_counts_exit_2_with_one_error_line(tmp_path, capsys, command):
+    """Each interval's Poisson mean (about 6.4e18) fits int64, but their total
+    (about 5e19) does not: the model is rejected, not the counts it wraps to."""
+    model = json.loads(write_config(tmp_path).read_text())["model"]
+    cfg = write_config(tmp_path, model={**model, "x1_0": 1e17})
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "64-bit" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_simulate_then_estimate_matches_run_replication(tmp_path, capsys):
