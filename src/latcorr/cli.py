@@ -7,8 +7,10 @@ estimate   : run all estimators on an external count-series file
 mse-table  : run the Monte Carlo grid and write the MSE table (csv or md)
 rate-check : fit the log-MSE / log-b_n slope for one variant
 
-Exit codes: 0 success, 1 I/O or internal failure, 2 invalid configuration
-or arguments, 3 degenerate data.
+Exit codes: 0 success, 1 I/O failure, 2 invalid configuration, arguments or
+counts file, 3 degenerate data.  A command returns 0 or raises, and ``main``
+alone maps the exception to its code and one ``error:`` line; only the output
+writes and a table with no valid row (exit 3, after its warning) return a code.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import dataclasses
 import functools
 import math
 import sys
+from typing import get_args
 
 from . import estimators, harness, io
 
@@ -35,8 +38,10 @@ def _fail(code: int, message: str) -> int:
 
 
 def _load_experiment(args: argparse.Namespace) -> tuple[io.ConfigFile, harness.ExperimentConfig]:
-    """Load ``--config`` and apply ``--seed``; any invalid value, a missing file
-    included, raises a ValueError, which the commands map to exit code 2."""
+    """Check ``--threads`` (grid commands), load ``--config`` and apply ``--seed``;
+    any invalid value, a missing config file included, raises a ValueError."""
+    if getattr(args, "threads", 0) < 0:
+        raise ValueError("--threads must be nonnegative")
     try:
         cf = io.load_config(args.config)
     except FileNotFoundError:
@@ -55,17 +60,13 @@ def _singleton_cell(exp: harness.ExperimentConfig) -> tuple[int, float]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.replication < 0:
-        return _fail(EXIT_CONFIG, "--replication must be nonnegative")
-    try:
-        cf, exp = _load_experiment(args)
-        b_n, r = _singleton_cell(exp)
-        design, path, counts = harness.simulate_replication(exp, b_n, r, args.replication)
-    except ValueError as exc:  # a ConfigError, or a model whose counts cannot be drawn
-        return _fail(EXIT_CONFIG, str(exc))
-
+        raise ValueError("--replication must be nonnegative")
+    cf, exp = _load_experiment(args)
+    b_n, r = _singleton_cell(exp)
+    design, path, counts = harness.simulate_replication(exp, b_n, r, args.replication)
     out = args.out or cf.out
     if out is None:
-        return _fail(EXIT_CONFIG, "no output path: pass --out or set 'out' in the config")
+        raise io.ConfigError("no output path: pass --out or set 'out' in the config")
     latent_out = args.latent_out or cf.latent_out
     try:
         io.write_count_series(out, counts, design.delta_n)
@@ -80,22 +81,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.a_n) and args.a_n > 0):
-        return _fail(EXIT_CONFIG, "--a-n must be a positive finite number")
+        raise ValueError("--a-n must be a positive finite number")
     if not 0.0 < args.level < 1.0:
-        return _fail(EXIT_CONFIG, "level must lie strictly between 0 and 1")
-    try:
-        counts, delta_n, T = io.read_count_series(args.counts)
-    except io.CountSeriesError as exc:
-        return _fail(EXIT_CONFIG, f"bad counts file: {exc}")
+        raise ValueError("level must lie strictly between 0 and 1")
+    counts, delta_n, T = io.read_count_series(args.counts)
     if counts.b_n < 4:
-        return _fail(EXIT_CONFIG, f"need at least 4 observation intervals, got {counts.b_n}")
+        raise ValueError(f"need at least 4 observation intervals, got {counts.b_n}")
     variants = args.variant or list(harness.VARIANTS)
-    try:
-        C, results = harness.estimate_counts(counts, args.a_n, delta_n, T, variants, args.level)
-    except estimators.DegenerateDataError as exc:
-        return _fail(EXIT_DEGENERATE, f"degenerate data: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    C, results = harness.estimate_counts(counts, args.a_n, delta_n, T, variants, args.level)
 
     report = [(variant, results[variant], results[variant].ci) for variant in variants]
     if args.format == "csv":
@@ -116,16 +109,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_mse_table(args: argparse.Namespace) -> int:
-    if args.threads < 0:
-        return _fail(EXIT_CONFIG, "--threads must be nonnegative")
-    try:
-        cf, exp = _load_experiment(args)
-        rows = harness.run_mse_table(exp, n_workers=args.threads)
-    except estimators.DegenerateDataError as exc:
-        return _fail(EXIT_DEGENERATE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-
+    cf, exp = _load_experiment(args)
+    rows = harness.run_mse_table(exp, n_workers=args.threads)
     fmt = args.format or cf.format
     text = io.mse_table_markdown(rows) if fmt == "md" else io.mse_table_csv(rows)
     out = args.out or cf.out
@@ -143,20 +128,13 @@ def cmd_mse_table(args: argparse.Namespace) -> int:
     if n_invalid:
         print(f"warning: {n_invalid} of {len(rows)} rows invalid "
               "(all replications degenerate)", file=sys.stderr)
-    return EXIT_OK if n_valid >= 1 else EXIT_IO
+    return EXIT_OK if n_valid >= 1 else EXIT_DEGENERATE
 
 
 def cmd_rate_check(args: argparse.Namespace) -> int:
-    if args.threads < 0:
-        return _fail(EXIT_CONFIG, "--threads must be nonnegative")
     variant = args.variant[0] if args.variant else "1"
-    try:
-        _, exp = _load_experiment(args)
-        slope = harness.rate_check(exp, variant, n_workers=args.threads)
-    except estimators.DegenerateDataError as exc:
-        return _fail(EXIT_DEGENERATE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    _, exp = _load_experiment(args)
+    slope = harness.rate_check(exp, variant, n_workers=args.threads)
     print(f"variant {variant}: slope of log(mse) vs log(b_n) = {slope:.4f}")
     return EXIT_OK
 
@@ -192,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mse-table", help="run the Monte Carlo grid and write the MSE table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="output path (default: config 'out' or stdout)")
-    p.add_argument("--format", choices=["csv", "md"], default=None)
+    p.add_argument("--format", choices=get_args(io.TableFormat), default=None)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_mse_table)
@@ -212,6 +190,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except estimators.DegenerateDataError as exc:
+        return _fail(EXIT_DEGENERATE, f"degenerate data: {exc}")
+    except io.CountSeriesError as exc:
+        return _fail(EXIT_CONFIG, f"bad counts file: {exc}")
+    except ValueError as exc:  # a ConfigError, an invalid argument or model
+        return _fail(EXIT_CONFIG, str(exc))
     except OSError as exc:  # an unreadable --counts or --config; writes report their own
         return _fail(EXIT_IO, f"cannot read input: {exc}")
 

@@ -339,8 +339,6 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     result is a view of it, C-contiguous only when ``width`` divides ``n``.
     """
     n = values.shape[-1]
-    if width >= n:
-        return np.cumsum(values, axis=-1)
     nblocks = -(-n // width)
     rows = values.reshape(-1, n)
     fwd = np.empty((len(rows), nblocks, width))

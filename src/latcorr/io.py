@@ -124,7 +124,7 @@ def _read(cls, doc: dict, prefix: str = "", beside=(), **given):
         if f.name in doc:
             values[f.name] = _READERS[f.type](doc[f.name], prefix + f.name)
         elif f.default is MISSING and f.default_factory is MISSING and f.name not in given:
-            raise ConfigError(f"missing required key '{f.name}'")
+            raise ConfigError(f"missing required key '{prefix}{f.name}'")
     try:
         return cls(**values)
     except ValueError as exc:

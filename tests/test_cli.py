@@ -766,3 +766,51 @@ def test_counts_from_a_pipe_exit_1(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: cannot read input: not a regular file: '/dev/stdin'\n"
+
+
+def test_missing_model_key_named_with_its_section():
+    doc = {"model": {"mu1": 0, "mu2": 0, "sigma1": 0.1, "sigma2": 0.1, "rho": 0,
+                     "x1_0": 1}, "b_n": [8], "r": [3.0]}
+    with pytest.raises(io.ConfigError, match=r"^missing required key 'model\.x2_0'$"):
+        io.parse_config(doc)
+
+
+def _zero_volatility_config(tmp_path):
+    model = json.loads(write_config(tmp_path).read_text())["model"]
+    return write_config(tmp_path, model={**model, "sigma1": 0.0}, b_n=[8, 16, 32])
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (lambda d: ["mse-table", "--config", str(_zero_volatility_config(d))], 3, "",
+         "error: degenerate data: model has a zero volatility: true correlation targets "
+         "are undefined\n"),
+        (lambda d: ["rate-check", "--config", str(_zero_volatility_config(d))], 3, "",
+         "error: degenerate data: model has a zero volatility: true correlation targets "
+         "are undefined\n"),
+        # a_n = 8**-5: every count path is zero, so every replication is degenerate
+        (lambda d: ["mse-table", "--config", str(write_config(d, r=[-5.0]))], 3,
+         "variant,b_n,r,mse,bn_times_mse,degenerate_count,clamped_count,N\n"
+         "1,8,-5.0,nan,nan,3,0,3\n2,8,-5.0,nan,nan,3,0,3\nw,8,-5.0,nan,nan,3,0,3\n",
+         "warning: 3 of 3 rows invalid (all replications degenerate)\n"),
+        (lambda d: ["simulate", "--config", str(write_config(d)),
+                    "--out", str(d / "missing" / "counts.csv")], 1, "",
+         "error: cannot write output: "),
+        (lambda d: ["mse-table", "--config", str(write_config(d)),
+                    "--out", str(d / "missing" / "table.csv")], 1, "",
+         "error: cannot write output: "),
+        (lambda d: ["estimate", "--counts", str(d), "--a-n", "1"], 1, "",
+         "error: cannot read input: "),
+    ],
+    ids=["mse-table-zero-volatility", "rate-check-zero-volatility", "mse-table-all-degenerate",
+         "simulate-unwritable-out", "mse-table-unwritable-out", "counts-directory"],
+)
+def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, argv, code,
+                                                              out, err):
+    """``cli.main`` maps each failure to its exit code and one stderr line, given
+    in full or up to the operating system's own message."""
+    assert cli.main(argv(tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1
