@@ -18,6 +18,7 @@ series ``D^p[k] = d^a[k] * d^b[k]``:
 Each is a Gram matrix of a 3-row series (the products themselves, their
 lag-2 differences, or their window sums), computed once per estimator
 with ``@``; the kernel form goes through the fixed index map ``pairmap``.
+Tilde series, ``S`` and every Gamma also take leading replication axes, row for row.
 
 The asymptotic variance of C is the quadratic form ``xi = v' G v`` with
 weights ``v = (1/sqrt(S11 S22), -S12/(2 sqrt(S11^3 S22)),
@@ -89,41 +90,41 @@ class DegenerateDataError(Exception):
 
 @dataclass(frozen=True)
 class TildeSeries:
-    """Rate-normalized count increments, ``ytil[k]`` for k = 1..b_n."""
+    """Rate-normalized count increments ``ytil[..., k]``, k = 1..b_n, over any leading axes."""
 
-    y1: np.ndarray  # (b_n,)
-    y2: np.ndarray  # (b_n,)
+    y1: np.ndarray  # (..., b_n)
+    y2: np.ndarray  # (..., b_n)
 
     def __post_init__(self):
-        if len(self.y1) != len(self.y2):
+        if self.y1.shape != self.y2.shape:
             raise ValueError("y1 and y2 must have equal length")
-        if len(self.y1) < 2:
+        if self.b_n < 2:
             raise ValueError("need at least two intervals")
 
     @property
     def b_n(self) -> int:
-        return len(self.y1)
+        return self.y1.shape[-1]
 
     @cached_property
     def pair_products(self) -> np.ndarray:
-        """Rows ``D^p[k] = d^a[k] d^b[k]`` in PAIRS order, shape (3, b_n - 1).
+        """Rows ``D^p[k] = d^a[k] d^b[k]`` in PAIRS order, shape (..., 3, b_n - 1).
 
         Index 0 of each row corresponds to k = 2.  Computed once and shared
         by ``S`` and every Gamma estimator of this series.
         """
         d1 = np.diff(self.y1)
         d2 = np.diff(self.y2)
-        rows = np.empty((3, len(d1)))
-        np.multiply(d1, d2, out=rows[0])
-        np.multiply(d1, d1, out=rows[1])
-        np.multiply(d2, d2, out=rows[2])
+        rows = np.empty(d1.shape[:-1] + (3, d1.shape[-1]))
+        np.multiply(d1, d2, out=rows[..., 0, :])
+        np.multiply(d1, d1, out=rows[..., 1, :])
+        np.multiply(d2, d2, out=rows[..., 2, :])
         rows.flags.writeable = False
         return rows
 
 
 @dataclass(frozen=True)
 class CovEstimate:
-    """The 3-vector (S12, S11, S22) of (co)variance estimates."""
+    """The 3-vector (S12, S11, S22) of (co)variance estimates, or arrays of them."""
 
     s12: float
     s11: float
@@ -140,12 +141,12 @@ class CovEstimate:
 
 @dataclass(frozen=True)
 class GammaMatrix:
-    """Symmetric 3x3 matrix indexed by PAIRS = ((1,2), (1,1), (2,2))."""
+    """Symmetric 3x3 matrix indexed by PAIRS = ((1,2), (1,1), (2,2)), over any leading axes."""
 
-    values: np.ndarray  # (3, 3)
+    values: np.ndarray  # (..., 3, 3)
 
     def __post_init__(self):
-        if self.values.shape != (3, 3):
+        if self.values.shape[-2:] != (3, 3):
             raise ValueError("GammaMatrix requires a 3x3 array")
 
     def entry(self, p: tuple[int, int], q: tuple[int, int]) -> float:
@@ -215,7 +216,7 @@ class ConfidenceInterval:
 
 
 def tilde_series(counts: CountPath, a_n: float, delta_n: float) -> TildeSeries:
-    """Convert cumulative counts to rate-normalized increments."""
+    """Convert cumulative counts, with any leading axes, to rate-normalized increments."""
     if not (a_n > 0 and math.isfinite(a_n)):
         raise ValueError("a_n must be positive and finite")
     if not (delta_n > 0 and math.isfinite(delta_n)):
@@ -224,9 +225,9 @@ def tilde_series(counts: CountPath, a_n: float, delta_n: float) -> TildeSeries:
     scale = 1.0 / product if product > 0.0 else math.inf
     if not 0.0 < scale < math.inf:
         raise ValueError(f"a_n * delta_n = {product!r} gives no finite nonzero scale")
-    rows = np.empty((2, counts.b_n))
+    rows = np.empty((2,) + counts.y1.shape[:-1] + (counts.b_n,))
     for row, y in zip(rows, (counts.y1, counts.y2)):
-        np.subtract(y[1:], y[:-1], out=row)  # int64 differences cast once, as np.diff's
+        np.subtract(y[..., 1:], y[..., :-1], out=row)  # int64 differences cast once, as np.diff's
     rows *= scale
     return TildeSeries(y1=rows[0], y2=rows[1])
 
@@ -241,8 +242,9 @@ def increment_products(tilde: TildeSeries) -> dict[tuple[int, int], np.ndarray]:
 
 
 def estimate_S(tilde: TildeSeries) -> CovEstimate:
-    """(Co)variance estimator S = (S12, S11, S22) from increment products."""
-    s12, s11, s22 = map(float, tilde.pair_products.sum(axis=1))
+    """(Co)variance estimator S = (S12, S11, S22): floats, or arrays over the leading axes."""
+    sums = np.moveaxis(tilde.pair_products.sum(axis=-1), -1, 0)
+    s12, s11, s22 = sums.tolist() if sums.ndim == 1 else sums
     return CovEstimate(s12=s12, s11=s11, s22=s22)
 
 
@@ -265,6 +267,12 @@ def estimate_correlation(S: CovEstimate) -> float:
     return min(1.0, max(-1.0, c))
 
 
+def _positive_T(T: float) -> float:
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"T must be positive and finite, got {T!r}")
+    return T
+
+
 def pairmap(G: np.ndarray) -> np.ndarray:
     """Map 3x3 Gram matrices of pair series, shape ``(..., 3, 3)``, to Gamma form.
 
@@ -285,8 +293,8 @@ def gamma_v1(tilde: TildeSeries, T: float) -> GammaMatrix:
     b_n < 4).
     """
     P = tilde.pair_products
-    X = P[:, :-2] @ P[:, 2:].T
-    return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / T * (P @ P.T - 0.5 * (X + X.T)))
+    X = P[..., :-2] @ P[..., 2:].mT
+    return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / _positive_T(T) * (P @ P.mT - 0.5 * (X + X.mT)))
 
 
 def gamma_v2(tilde: TildeSeries, T: float) -> GammaMatrix:
@@ -297,8 +305,8 @@ def gamma_v2(tilde: TildeSeries, T: float) -> GammaMatrix:
     semidefinite by construction, and zero when b_n < 4.
     """
     P = tilde.pair_products
-    delta = P[:, 2:] - P[:, :-2]
-    return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / T * 0.5 * (delta @ delta.T))
+    delta = P[..., 2:] - P[..., :-2]
+    return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / _positive_T(T) * 0.5 * (delta @ delta.mT))
 
 
 def kernel_partial(
@@ -374,7 +382,7 @@ def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> Gamm
     h, n_h = bandwidth.resolve(b_n, T)
     W = _window_sums(tilde.pair_products, n_h)
     W /= h
-    return GammaMatrix(values=9.0 / 8.0 * T / b_n * pairmap(W @ W.T))
+    return GammaMatrix(values=9.0 / 8.0 * T / b_n * pairmap(W @ W.mT))
 
 
 def correlation_weights(S: CovEstimate) -> np.ndarray:
@@ -429,9 +437,12 @@ def confidence_interval(
         raise ValueError("level must lie strictly between 0 and 1")
     if b_n < 2:
         raise ValueError("b_n must be at least 2")
+    if not math.isfinite(C):
+        raise ValueError(f"C must be finite, got {C!r}")
     xi_val = xi.xi if isinstance(xi, XiValue) else float(xi)
-    if xi_val < 0:
-        raise ValueError("xi must be nonnegative")
+    if not 0.0 <= xi_val < math.inf:
+        raise ValueError(f"xi must be nonnegative and finite, got {xi_val!r}")
+    _positive_T(T)
     half = _normal_quantile(level) * math.sqrt(xi_val * T / b_n)
     lo_raw, hi_raw = C - half, C + half
     return ConfidenceInterval(

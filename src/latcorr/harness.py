@@ -7,9 +7,9 @@ and every requested xi and CI from the counts (:func:`estimate_counts`, which
 the CLI also calls), and computes the path-wise truth.  The latent layer
 (paths, counts and truth) of up to :data:`CHUNK` consecutive replications is
 computed together, with every substream consumed as for one replication
-alone; estimation and everything after it run one replication at a time on
-the calling thread, and cell aggregation is a fixed-order fold over
-replication indices.
+alone, and so is their estimation's array stage (``S``, every Gamma); ``C``,
+``xi`` and the CIs run one replication at a time on the calling thread, and
+cell aggregation is a fixed-order fold over replication indices.
 """
 
 from __future__ import annotations
@@ -220,6 +220,24 @@ def _latent_chunk(seed: int, model: sim.ModelParams, refinement: int, b_n: int, 
         return None
 
 
+def _estimate_arrays(counts: sim.CountPath, a_n, delta_n, T, variants, overrides):
+    """``S`` and ``{variant: Gamma}`` of :func:`estimate_counts`, over any leading axes."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in the tail instead
+        tilde = estimators.tilde_series(counts, a_n, delta_n)
+        return estimators.estimate_S(tilde), {
+            v: gamma_for_variant(tilde, T, v, overrides) for v in variants}
+
+
+def _estimate_tail(S, gammas, b_n: int, T: float, level: float):
+    """``C`` and each variant's result of :func:`estimate_counts` from one replication's arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = estimators.estimate_correlation(S)
+        xis = {variant: estimators.estimate_xi(S, G) for variant, G in gammas.items()}
+    return C, {variant: VariantResult(xi=xi.xi, clamped=xi.clamped,
+                                      ci=estimators.confidence_interval(C, xi, b_n, T, level))
+               for variant, xi in xis.items()}
+
+
 def estimate_counts(
     counts: sim.CountPath, a_n: float, delta_n: float, T: float,
     variants: tuple[str, ...] | list[str], level: float,
@@ -233,17 +251,29 @@ def estimate_counts(
     """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError("T must be positive and finite")
-    results = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below instead
-        tilde = estimators.tilde_series(counts, a_n, delta_n)
-        S = estimators.estimate_S(tilde)
-        C = estimators.estimate_correlation(S)
-        for variant in variants:
-            G = gamma_for_variant(tilde, T, variant, bandwidth_overrides)
-            xi = estimators.estimate_xi(S, G)
-            ci = estimators.confidence_interval(C, xi, counts.b_n, T, level)
-            results[variant] = VariantResult(xi=xi.xi, clamped=xi.clamped, ci=ci)
-    return C, results
+    S, gammas = _estimate_arrays(counts, a_n, delta_n, T, variants, bandwidth_overrides)
+    return _estimate_tail(S, gammas, counts.b_n, T, level)
+
+
+_chunk_arrays_entry: list = [None]  # (chunk, variants, overrides, rows) of the last call
+
+
+def _chunk_arrays(chunk, config: ExperimentConfig) -> list:
+    """``(S, {variant: Gamma})`` per replication of a :func:`_latent_layer` chunk, from one
+    stacked array stage.  A one-entry cache beside :func:`_latent_chunk`'s, keyed by the
+    variants, the bandwidth overrides and the chunk object, which it holds, so that a
+    chunk computed anew never meets the arrays of its predecessor."""
+    variants, overrides = config.variants, config.bandwidth_overrides
+    entry = _chunk_arrays_entry[0]
+    if not (entry and entry[0] is chunk and entry[1:3] == (variants, overrides)):
+        design, latent = chunk
+        S, gammas = _estimate_arrays(sim.CountPath.stack([row[0] for row in latent]), design.a_n,
+                                     design.delta_n, config.model.T, variants, overrides)
+        rows = [(estimators.CovEstimate(*s), {v: estimators.GammaMatrix(G.values[i])
+                                              for v, G in gammas.items()})
+                for i, s in enumerate(zip(S.s12.tolist(), S.s11.tolist(), S.s22.tolist()))]
+        entry = _chunk_arrays_entry[0] = (chunk, variants, dict(overrides), rows)
+    return entry[3]
 
 
 def run_replication(
@@ -255,11 +285,13 @@ def run_replication(
     degenerate count data (S11*S22 = 0) is flagged, not fatal; a degenerate
     model (zero volatility) aborts immediately.
 
-    The latent layer comes from the chunk of consecutive replications that
-    ``index`` falls in, computed on the first call and kept until another
-    chunk is asked for.  A replication outside ``config.replications``, or
-    one of a chunk in which some replication fails, is computed alone, so
-    it raises its own error, or none, whatever its neighbours do.
+    The latent layer and the array stage of the estimation (``S``, every
+    Gamma) come from the chunk of consecutive replications that ``index``
+    falls in, computed on the first call and kept until another chunk is
+    asked for; ``C``, each ``xi`` and CI then run on this replication alone.
+    A replication outside ``config.replications``, or one of a chunk in
+    which some replication fails, is computed alone, so it raises its own
+    error, or none, whatever its neighbours do.
     """
     if config.model.sigma1 == 0.0 or config.model.sigma2 == 0.0:
         raise estimators.DegenerateDataError(
@@ -272,12 +304,10 @@ def run_replication(
         chunk = _latent_chunk(*key, start, min(start + size, config.replications))
     if chunk is None:
         chunk, start = _latent_layer(*key, range(index, index + 1)), index
-    design, latent = chunk
-    counts, true_R, true_xi = latent[index - start]
+    _, true_R, true_xi = chunk[1][index - start]
+    S, gammas = _chunk_arrays(chunk, config)[index - start]
     try:
-        C, results = estimate_counts(counts, design.a_n, design.delta_n, config.model.T,
-                                     config.variants, config.ci_level,
-                                     config.bandwidth_overrides)
+        C, results = _estimate_tail(S, gammas, b_n, config.model.T, config.ci_level)
     except estimators.DegenerateDataError:
         C, results = None, {}
     return ReplicationRecord(

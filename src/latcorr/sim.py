@@ -152,13 +152,20 @@ class CountPath:
     def rows(self) -> list[CountPath]:
         """The count paths along the leading axis, as views; a row of a
         checked path needs no checks of its own."""
-        rows = []
-        for y1, y2 in zip(self.y1, self.y2):
-            row = object.__new__(CountPath)
-            object.__setattr__(row, "y1", y1)
-            object.__setattr__(row, "y2", y2)
-            rows.append(row)
-        return rows
+        return [CountPath._checked(y1, y2) for y1, y2 in zip(self.y1, self.y2)]
+
+    @staticmethod
+    def stack(paths: Sequence[CountPath]) -> CountPath:
+        """Checked count paths stacked along a new leading axis, the inverse of
+        :meth:`rows`; the stack needs no checks of its own."""
+        return CountPath._checked(np.array([p.y1 for p in paths]), np.array([p.y2 for p in paths]))
+
+    @staticmethod
+    def _checked(y1: np.ndarray, y2: np.ndarray) -> CountPath:
+        path = object.__new__(CountPath)
+        object.__setattr__(path, "y1", y1)
+        object.__setattr__(path, "y2", y2)
+        return path
 
 
 @dataclass(frozen=True)
@@ -326,10 +333,10 @@ def validate_regime(b_n: int, a_n: float) -> RegimeReport:
     conditions are statements about limits, so boundary values count as not
     satisfied.
     """
-    if b_n < 4:
-        raise ValueError("b_n must be at least 4")
-    if a_n <= 0:
-        raise ValueError("a_n must be positive")
+    if not 4 <= b_n < math.inf:
+        raise ValueError(f"b_n must be finite and at least 4, got {b_n!r}")
+    if not 0 < a_n < math.inf:
+        raise ValueError(f"a_n must be positive and finite, got {a_n!r}")
     r = math.log(a_n) / math.log(b_n)
     # Guard band keeps exact boundary cases (a_n = b_n^2.5) classified as
     # "not satisfied" despite rounding in the log ratio.

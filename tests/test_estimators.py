@@ -521,3 +521,57 @@ def test_tilde_series_keeps_int64_differences_of_counts_above_2_53():
     assert tilde.y1.tobytes() == (np.diff(y1) * scale).tobytes()
     assert tilde.y2.tobytes() == (np.diff(y2) * scale).tobytes()
     assert tilde.y1[1] == 2 * scale
+
+
+@pytest.mark.parametrize("C, xi, T, name", [
+    (math.nan, 0.5, 1.0, "C"), (math.inf, 0.5, 1.0, "C"),
+    (0.5, math.nan, 1.0, "xi"), (0.5, math.inf, 1.0, "xi"),
+    (0.5, est.XiValue(xi=math.nan, clamped=False), 1.0, "xi"),
+    (0.5, 0.5, math.nan, "T"), (0.5, 0.5, math.inf, "T"), (0.5, 0.5, -1.0, "T"),
+    (0.5, 0.5, 0.0, "T"),
+])
+def test_confidence_interval_rejects_non_finite_inputs(C, xi, T, name):
+    # each used to give an all-NaN interval, a T < 0 a bare "math domain error"
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        est.confidence_interval(C, xi, 16, T)
+
+
+@pytest.mark.parametrize("gamma", [est.gamma_v1, est.gamma_v2])
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_quadratic_gammas_reject_a_non_positive_or_non_finite_T(gamma, T, rng):
+    with pytest.raises(ValueError, match="^T must be positive and finite"):
+        gamma(random_tilde(rng, 8), T)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+@pytest.mark.parametrize("b_n", [4, 17, 300])
+def test_stacked_estimates_equal_each_replication_alone(shape, b_n, rng):
+    # counts with leading axes give the bits of one call per row, for S and every Gamma
+    inc = rng.poisson(rng.uniform(0.5, 40.0, shape + (2, 1)), shape + (2, b_n))
+    y = np.concatenate([np.zeros(shape + (2, 1), dtype=np.int64), inc.cumsum(-1)], axis=-1)
+    stacked = sim.CountPath(y1=y[..., 0, :], y2=y[..., 1, :])
+    estimates = [est.estimate_S, lambda t: est.gamma_v1(t, 2.0), lambda t: est.gamma_v2(t, 2.0)]
+    estimates += [lambda t, e=e: est.gamma_kernel(t, 2.0, est.BandwidthSpec.from_exponent(e))
+                  for e in (0.25, 0.5, 0.75)]
+    tilde = est.tilde_series(stacked, a_n=30.0, delta_n=2.0 / b_n)
+    assert tilde.b_n == b_n and tilde.pair_products.shape == shape + (3, b_n - 1)
+    got = [estimate(tilde) for estimate in estimates]
+    S = got[0]
+    assert np.shape(S.s12) == shape
+    for G in got[1:]:
+        assert G.values.shape == shape + (3, 3)
+    rows = zip(stacked.y1.reshape(-1, b_n + 1), stacked.y2.reshape(-1, b_n + 1))
+    for k, (y1, y2) in enumerate(rows):
+        one = est.tilde_series(sim.CountPath(y1=y1, y2=y2), a_n=30.0, delta_n=2.0 / b_n)
+        assert one.pair_products.tobytes() == tilde.pair_products.reshape(-1, 3, b_n - 1)[k].tobytes()
+        S1 = estimates[0](one)
+        assert all(type(f) is float for f in (S1.s12, S1.s11, S1.s22))
+        assert (S1.s12, S1.s11, S1.s22) == tuple(np.ravel(f)[k] for f in (S.s12, S.s11, S.s22))
+        for estimate, G in zip(estimates[1:], got[1:]):
+            assert estimate(one).values.tobytes() == G.values.reshape(-1, 3, 3)[k].tobytes()
+
+
+def test_gamma_matrix_takes_leading_axes_of_3x3_matrices():
+    assert est.GammaMatrix(values=np.zeros((2, 4, 3, 3))).values.shape == (2, 4, 3, 3)
+    with pytest.raises(ValueError, match="3x3"):
+        est.GammaMatrix(values=np.zeros((2, 3)))

@@ -334,3 +334,63 @@ def test_errors_surface_in_index_order_within_a_chunk(study_model, monkeypatch):
     with pytest.raises(ValueError, match="path-wise targets U or gamma overflow"):
         harness.run_cell(cfg, 16, r)
     assert harness.run_replication(cfg, 16, r, 3) == before
+
+
+def _record_hexes(C, results) -> list:
+    ends = [[float(x).hex() for x in (res.xi, res.ci.lo, res.ci.hi, res.ci.lo_raw, res.ci.hi_raw)]
+            for res in results.values()]
+    return [None if C is None else float(C).hex(), ends]
+
+
+@pytest.mark.parametrize("b_n, replications, degenerate", [
+    # r = 0 (a_n = 1) leaves about half the count paths constant; seed 3 found by search
+    (16, 11, "DD..D..DDD."),  # chunks of 8: both mix live and degenerate rows
+    (256, 6, ".DD.DD"),  # chunks of 2: two mix, one is all degenerate
+])
+def test_chunks_mixing_live_and_degenerate_rows_equal_each_row_alone(
+        study_model, b_n, replications, degenerate):
+    cfg = small_config(study_model, b_n=(b_n,), r=(0.0,), variants=harness.VARIANTS,
+                       replications=replications, seed=3)
+    cell = harness.run_cell(cfg, b_n, 0.0)
+    assert "".join("D" if rec.degenerate else "." for rec in cell) == degenerate
+    alone_cfg = dataclasses.replace(cfg, replications=1)  # every index past 0 runs alone
+    for rec in cell:
+        alone = harness.run_replication(alone_cfg, b_n, 0.0, rec.index)
+        assert alone == rec
+        assert _hexes(alone) == _hexes(rec)
+        design, _, counts = harness.simulate_replication(cfg, b_n, 0.0, rec.index)
+        try:
+            C, results = harness.estimate_counts(counts, design.a_n, design.delta_n, design.T,
+                                                 harness.VARIANTS, cfg.ci_level)
+        except est.DegenerateDataError:
+            C, results = None, {}
+        assert _record_hexes(C, results) == _record_hexes(rec.C, rec.results)
+
+
+def _clear_chunk_caches():
+    harness._latent_chunk.cache_clear()
+    harness._chunk_arrays_entry[0] = None
+
+
+def test_chunk_caches_never_serve_a_stale_chunk(study_model):
+    # one chunk of 6 replications, so each run reuses the chunk of the run before it,
+    # and only the variants, bandwidth overrides or CI level tell their estimates apart
+    base = small_config(study_model, b_n=(64,), variants=("1", "w"), replications=6)
+    configs = [
+        base,
+        dataclasses.replace(base, variants=("w", "m")),
+        dataclasses.replace(base, variants=("w", "m"), bandwidth_overrides={"w": 0.4}),
+        dataclasses.replace(base, variants=("w", "m"), bandwidth_overrides={"w": 0.3}),
+        dataclasses.replace(base, variants=("w", "m"), bandwidth_overrides={"w": 0.3},
+                            ci_level=0.5),
+        base,
+    ]
+    _clear_chunk_caches()
+    back_to_back = [harness.run_cell(cfg, 64, 3.0) for cfg in configs]
+    for cfg, records in zip(configs, back_to_back):
+        _clear_chunk_caches()
+        fresh = harness.run_cell(cfg, 64, 3.0)
+        assert records == fresh
+        assert [_record_hexes(r.C, r.results) for r in records] == [
+            _record_hexes(r.C, r.results) for r in fresh]
+    assert back_to_back[2] != back_to_back[3] != back_to_back[4]
