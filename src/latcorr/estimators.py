@@ -55,6 +55,7 @@ __all__ = [
     "gamma_kernel",
     "pairmap",
     "correlation_weights",
+    "xi_forms",
     "estimate_xi",
     "confidence_interval",
 ]
@@ -129,14 +130,6 @@ class CovEstimate:
     s12: float
     s11: float
     s22: float
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Read-only :func:`correlation_weights` of this estimate, computed
-        once and shared by every variant's ``xi``."""
-        v = correlation_weights(self)
-        v.flags.writeable = False
-        return v
 
 
 @dataclass(frozen=True)
@@ -385,23 +378,39 @@ def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> Gamm
     return GammaMatrix(values=9.0 / 8.0 * T / b_n * pairmap(W @ W.mT))
 
 
+def _weights(s12: float, s11: float, s22: float) -> list[float]:
+    """:func:`correlation_weights` in Python floats (numpy's ``**`` differs in the last bit)."""
+    if s11 <= 0.0 or s22 <= 0.0:
+        raise DegenerateDataError("S11*S22 = 0: weight vector undefined")
+    if not (math.isfinite(s12) and math.isfinite(s11) and math.isfinite(s22)):
+        raise DegenerateDataError(f"weight vector undefined: S = {(s12, s11, s22)} is not finite")
+    try:
+        return [1.0 / math.sqrt(s11 * s22), -s12 / (2.0 * math.sqrt(s11**3 * s22)),
+                -s12 / (2.0 * math.sqrt(s11 * s22**3))]
+    except (OverflowError, ZeroDivisionError) as exc:  # float ** and / raise, not give inf
+        raise DegenerateDataError(f"weight vector out of float range: {exc}") from exc
+
+
 def correlation_weights(S: CovEstimate) -> np.ndarray:
     """Gradient weights of C in S, ordered like PAIRS.
 
     ``v = (1/sqrt(S11 S22), -S12/(2 sqrt(S11^3 S22)), -S12/(2 sqrt(S11 S22^3)))``
     """
-    if S.s11 <= 0.0 or S.s22 <= 0.0:
-        raise DegenerateDataError("S11*S22 = 0: weight vector undefined")
-    try:
-        return np.array(
-            [
-                1.0 / math.sqrt(S.s11 * S.s22),
-                -S.s12 / (2.0 * math.sqrt(S.s11**3 * S.s22)),
-                -S.s12 / (2.0 * math.sqrt(S.s11 * S.s22**3)),
-            ]
-        )
-    except (OverflowError, ZeroDivisionError) as exc:  # float ** and / raise, not give inf
-        raise DegenerateDataError(f"weight vector out of float range: {exc}") from exc
+    return np.array(_weights(S.s12, S.s11, S.s22))
+
+
+def xi_forms(sums: list, G: np.ndarray) -> tuple[np.ndarray, list]:
+    """``v' G v`` of R rows, ``v`` the weights of each (S12, S11, S22) of ``sums``
+    and ``G`` (..., R, 3, 3): the forms (..., R), with the bits of :func:`estimate_xi`'s
+    ``v @ G @ v``, and per row None or the DegenerateDataError of its weights."""
+    v, errors = np.zeros((len(sums), 3)), [None] * len(sums)
+    for i, s in enumerate(sums):
+        try:
+            v[i] = _weights(*s)
+        except DegenerateDataError as exc:
+            errors[i] = exc
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is the caller's to flag
+        return ((v[:, None] @ G) @ v[:, :, None])[..., 0, 0], errors
 
 
 def estimate_xi(S: CovEstimate, G: GammaMatrix) -> XiValue:
@@ -409,10 +418,9 @@ def estimate_xi(S: CovEstimate, G: GammaMatrix) -> XiValue:
 
     The finite-sample G need not be positive semidefinite; a negative
     quadratic form is clamped to 0 and flagged.  A non-finite one (from
-    overflowing terms) raises DegenerateDataError.  The weights are
-    ``S.weights``, computed on the first call for this ``S``.
+    overflowing terms) raises DegenerateDataError.
     """
-    v = S.weights
+    v = correlation_weights(S)
     raw = float(v @ G.values @ v)
     if not math.isfinite(raw):
         raise DegenerateDataError(f"asymptotic variance is not finite: v'Gv = {raw}")

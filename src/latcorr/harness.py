@@ -4,12 +4,12 @@ A grid cell is one (b_n, r) pair with ``a_n = b_n**r``.  Every replication
 owns an RNG substream derived from ``(seed, b_n, r, index)``, simulates one
 latent path and one count path (:func:`simulate_replication`), estimates C
 and every requested xi and CI from the counts (:func:`estimate_counts`, which
-the CLI also calls), and computes the path-wise truth.  The latent layer
-(paths, counts and truth) of up to :data:`CHUNK` consecutive replications is
-computed together, with every substream consumed as for one replication
-alone, and so is their estimation's array stage (``S``, every Gamma); ``C``,
-``xi`` and the CIs run one replication at a time on the calling thread, and
-cell aggregation is a fixed-order fold over replication indices.
+the CLI also calls), and computes the path-wise truth.  Replications run on
+the calling thread in chunks of :data:`CHUNK`: the latent layer (paths,
+counts, truth) in sub-chunks that bound its memory, with every substream
+consumed as for one replication alone, then ``S``, every Gamma, ``C``,
+``xi`` and the CIs of the whole chunk in one stacked pass.  Cell aggregation
+is a fixed-order fold over replication indices.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ __all__ = [
 
 VARIANTS = ("1", "2", *estimators.VARIANT_EXPONENTS)
 
-#: Most consecutive replications whose latent layer is computed together.
+#: Consecutive replications estimated together, as one chunk.
 CHUNK = 8
-#: Bytes of fine-grid work arrays a chunk may hold: one replication peaks at
-#: about ``_FINE_ROWS`` float64 rows of ``b_n*m`` values, and a chunk takes
-#: fewer than CHUNK replications when they would exceed this (8 up to
-#: ``b_n*m`` = 512, 4 at 1024, 2 at 2048, 1 from 4096 on).  At this size each
-#: array stays under glibc's default 128 KiB mmap threshold and is reused from
-#: the heap; at 512 KiB a desk round left the process 0.5 MiB more resident.
+#: Bytes of fine-grid work arrays a chunk's latent layer may hold at once: one replication
+#: peaks at about ``_FINE_ROWS`` float64 rows of ``b_n*m`` values, so it runs in sub-chunks of
+#: 8 up to ``b_n*m`` = 512, 4 at 1024, 2 at 2048, 1 from 4096 on.  Each array then stays under
+#: glibc's 128 KiB mmap threshold and is reused; 512 KiB left a desk round 0.5 MiB more resident.
 CHUNK_BYTES = 1 << 18
 _FINE_ROWS = 8
 
@@ -198,14 +196,18 @@ def _simulate(model: sim.ModelParams, refinement: int, b_n: int, r: float, rng):
 
 def _latent_layer(seed: int, model: sim.ModelParams, refinement: int, b_n: int, r: float,
                   indices: range):
-    """Design, then ``(counts, true_R, true_xi)`` per replication in ``indices``,
-    computed together; the counts are read-only, as the chunk cache shares them."""
-    rngs = [sim.replication_rng(seed, b_n, r, i) for i in indices]
-    design, path, counts = _simulate(model, refinement, b_n, r, rngs)
-    truths = oracle.truth_record(path, model)
-    for y in (counts.y1, counts.y2):
-        y.flags.writeable = False
-    return design, tuple((row, t.R, t.xi) for row, t in zip(counts.rows(), truths))
+    """Design, then ``(counts, true_R, true_xi)`` per replication in ``indices``, the
+    fine-grid work in sub-chunks of at most :data:`CHUNK_BYTES`; the counts are
+    read-only, as the chunk cache shares them."""
+    size = max(1, min(CHUNK, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * refinement)))
+    rows = []
+    for part in (indices[k:k + size] for k in range(0, len(indices), size)):
+        rngs = [sim.replication_rng(seed, b_n, r, i) for i in part]
+        design, path, counts = _simulate(model, refinement, b_n, r, rngs)
+        truths = oracle.truth_record(path, model)
+        counts.y1.flags.writeable = counts.y2.flags.writeable = False
+        rows += [(row, t.R, t.xi) for row, t in zip(counts.rows(), truths)]
+    return design, tuple(rows)
 
 
 @functools.lru_cache(maxsize=1)
@@ -220,22 +222,53 @@ def _latent_chunk(seed: int, model: sim.ModelParams, refinement: int, b_n: int, 
         return None
 
 
+def _frozen(cls, **fields):
+    """``cls(**fields)`` of a frozen dataclass with no ``__post_init__``, minus its setattrs."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _estimate_arrays(counts: sim.CountPath, a_n, delta_n, T, variants, overrides):
     """``S`` and ``{variant: Gamma}`` of :func:`estimate_counts`, over any leading axes."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in the tail instead
+    with np.errstate(over="ignore", invalid="ignore"):  # the tail flags an overflow's row
         tilde = estimators.tilde_series(counts, a_n, delta_n)
         return estimators.estimate_S(tilde), {
             v: gamma_for_variant(tilde, T, v, overrides) for v in variants}
 
 
 def _estimate_tail(S, gammas, b_n: int, T: float, level: float):
-    """``C`` and each variant's result of :func:`estimate_counts` from one replication's arrays."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = estimators.estimate_correlation(S)
-        xis = {variant: estimators.estimate_xi(S, G) for variant, G in gammas.items()}
-    return C, {variant: VariantResult(xi=xi.xi, clamped=xi.clamped,
-                                      ci=estimators.confidence_interval(C, xi, b_n, T, level))
-               for variant, xi in xis.items()}
+    """Per row of :func:`_estimate_arrays`' output, flattened, yield ``(C, {variant:
+    VariantResult})`` or the DegenerateDataError of the scalar chain estimate_correlation ->
+    estimate_xi -> confidence_interval, with its bits (``xi`` from :func:`estimators.xi_forms`)."""
+    sums = np.stack([S.s12, S.s11, S.s22], axis=-1).reshape(-1, 3).tolist()
+    G = np.reshape([g.values for g in gammas.values()], (len(gammas), len(sums), 3, 3))
+    forms, errors = estimators.xi_forms(sums, G)
+    z = estimators._normal_quantile(level)
+    for (s12, s11, s22), raws, error in zip(sums, forms.T.tolist(), errors):
+        denom2 = s11 * s22
+        C = math.nan if denom2 <= 0.0 else s12 / math.sqrt(denom2)
+        bad = [raw for raw in raws if not math.isfinite(raw)]
+        if denom2 <= 0.0:
+            error = estimators.DegenerateDataError("S11*S22 = 0: correlation undefined")
+        elif not math.isfinite(C):
+            error = estimators.DegenerateDataError(f"correlation is not finite: C = {C}")
+        elif bad and not error:
+            error = estimators.DegenerateDataError(f"asymptotic variance is not finite: v'Gv = {bad[0]}")
+        if error:
+            yield error
+            continue
+        C = min(1.0, max(-1.0, C))
+        results = {}
+        for variant, raw in zip(gammas, raws):
+            xi = max(raw, 0.0)
+            half = z * math.sqrt(xi * T / b_n)
+            lo_raw, hi_raw = C - half, C + half
+            ci = _frozen(estimators.ConfidenceInterval, lo_raw=lo_raw, hi_raw=hi_raw,
+                         lo=max(lo_raw, -1.0), hi=min(hi_raw, 1.0), lo_clamped=lo_raw < -1.0,
+                         hi_clamped=hi_raw > 1.0, level=level)
+            results[variant] = _frozen(VariantResult, xi=xi, clamped=raw < 0.0, ci=ci)
+        yield C, results
 
 
 def estimate_counts(
@@ -245,35 +278,37 @@ def estimate_counts(
 ) -> tuple[float, dict[str, VariantResult]]:
     """Correlation estimate ``C`` and, per variant, ``xi`` and its CI.
 
-    Raises ``estimators.DegenerateDataError`` if S11*S22 = 0, or if C or an
+    Raises ``estimators.DegenerateDataError`` if S11*S22 = 0, or if C, S or an
     xi is not finite (finite counts and scales whose products overflow), and
-    ValueError if ``a_n``, ``delta_n`` or ``T`` is not positive and finite.
+    ValueError if ``a_n``, ``delta_n``, ``T`` or ``level`` is out of range.
     """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError("T must be positive and finite")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie strictly between 0 and 1")
     S, gammas = _estimate_arrays(counts, a_n, delta_n, T, variants, bandwidth_overrides)
-    return _estimate_tail(S, gammas, counts.b_n, T, level)
+    (row,) = _estimate_tail(S, gammas, counts.b_n, T, level)
+    if isinstance(row, estimators.DegenerateDataError):
+        raise row
+    return row
 
 
-_chunk_arrays_entry: list = [None]  # (chunk, variants, overrides, rows) of the last call
+_chunk_arrays_entry: list = [None]  # (chunk, variants, overrides, level, rows) of the last call
 
 
-def _chunk_arrays(chunk, config: ExperimentConfig) -> list:
-    """``(S, {variant: Gamma})`` per replication of a :func:`_latent_layer` chunk, from one
-    stacked array stage.  A one-entry cache beside :func:`_latent_chunk`'s, keyed by the
-    variants, the bandwidth overrides and the chunk object, which it holds, so that a
-    chunk computed anew never meets the arrays of its predecessor."""
-    variants, overrides = config.variants, config.bandwidth_overrides
+def _chunk_estimates(chunk, config: ExperimentConfig) -> list:
+    """:func:`_estimate_tail` of each replication of a :func:`_latent_layer` chunk, in
+    one stacked pass.  A one-entry cache keyed by the estimation settings and the
+    chunk object, which it holds, so a chunk computed anew never meets old estimates."""
+    key = (config.variants, config.bandwidth_overrides, config.ci_level)
     entry = _chunk_arrays_entry[0]
-    if not (entry and entry[0] is chunk and entry[1:3] == (variants, overrides)):
+    if not (entry and entry[0] is chunk and entry[1:4] == key):
         design, latent = chunk
         S, gammas = _estimate_arrays(sim.CountPath.stack([row[0] for row in latent]), design.a_n,
-                                     design.delta_n, config.model.T, variants, overrides)
-        rows = [(estimators.CovEstimate(*s), {v: estimators.GammaMatrix(G.values[i])
-                                              for v, G in gammas.items()})
-                for i, s in enumerate(zip(S.s12.tolist(), S.s11.tolist(), S.s22.tolist()))]
-        entry = _chunk_arrays_entry[0] = (chunk, variants, dict(overrides), rows)
-    return entry[3]
+                                     design.delta_n, config.model.T, *key[:2])
+        rows = list(_estimate_tail(S, gammas, design.b_n, config.model.T, config.ci_level))
+        entry = _chunk_arrays_entry[0] = (chunk, key[0], dict(key[1]), key[2], rows)
+    return entry[4]
 
 
 def run_replication(
@@ -285,35 +320,26 @@ def run_replication(
     degenerate count data (S11*S22 = 0) is flagged, not fatal; a degenerate
     model (zero volatility) aborts immediately.
 
-    The latent layer and the array stage of the estimation (``S``, every
-    Gamma) come from the chunk of consecutive replications that ``index``
-    falls in, computed on the first call and kept until another chunk is
-    asked for; ``C``, each ``xi`` and CI then run on this replication alone.
-    A replication outside ``config.replications``, or one of a chunk in
-    which some replication fails, is computed alone, so it raises its own
-    error, or none, whatever its neighbours do.
+    It comes from the chunk of :data:`CHUNK` replications that ``index`` falls
+    in, computed on the first call and kept until another chunk is asked for.
+    One outside ``config.replications``, or of a chunk in which some replication
+    fails, is computed alone, so it raises its own error, or none.
     """
     if config.model.sigma1 == 0.0 or config.model.sigma2 == 0.0:
         raise estimators.DegenerateDataError(
             "model has a zero volatility: true correlation targets are undefined")
     key = (config.seed, config.model, config.refinement, b_n, r)
-    size = max(1, min(CHUNK, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * config.refinement)))
-    start = index - index % size
+    start = index - index % CHUNK
     chunk = None
     if 0 <= index < config.replications:
-        chunk = _latent_chunk(*key, start, min(start + size, config.replications))
+        chunk = _latent_chunk(*key, start, min(start + CHUNK, config.replications))
     if chunk is None:
         chunk, start = _latent_layer(*key, range(index, index + 1)), index
     _, true_R, true_xi = chunk[1][index - start]
-    S, gammas = _chunk_arrays(chunk, config)[index - start]
-    try:
-        C, results = _estimate_tail(S, gammas, b_n, config.model.T, config.ci_level)
-    except estimators.DegenerateDataError:
-        C, results = None, {}
-    return ReplicationRecord(
-        index=index, b_n=b_n, r=r, degenerate=C is None, C=C, results=results,
-        true_R=true_R, true_xi=true_xi,
-    )
+    row = _chunk_estimates(chunk, config)[index - start]
+    C, results = (None, {}) if isinstance(row, estimators.DegenerateDataError) else row
+    return _frozen(ReplicationRecord, index=index, b_n=b_n, r=r, degenerate=C is None, C=C,
+                   results=dict(results), true_R=true_R, true_xi=true_xi)
 
 
 def run_cell(
@@ -321,10 +347,9 @@ def run_cell(
 ) -> list[ReplicationRecord]:
     """All replications of one cell, ordered by replication index.
 
-    ``n_workers`` (0 = auto) is accepted for compatibility and validated;
-    replications always run sequentially on the calling thread, because a
-    thread pool measured slower than one thread on these millisecond-scale,
-    interpreter-bound replications.
+    ``n_workers`` (0 = auto) is accepted for compatibility and validated; a
+    thread pool measured slower than the calling thread on these
+    millisecond-scale, interpreter-bound replications.
     """
     if n_workers < 0:
         raise ValueError("n_workers must be nonnegative")

@@ -18,12 +18,13 @@ measured against the same replication's own truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import (
-    PAIRS, CovEstimate, DegenerateDataError, GammaMatrix, correlation_weights, pairmap,
+    PAIRS, CovEstimate, DegenerateDataError, GammaMatrix, correlation_weights, pairmap, xi_forms,
 )
 from .sim import LatentPath, ModelParams
 
@@ -70,7 +71,7 @@ def _cov_and_R(u12: float, u11: float, u22: float) -> tuple[CovEstimate, float]:
     if u11 * u22 <= 0.0:
         raise DegenerateDataError("U11*U22 = 0: true correlation undefined")
     U = CovEstimate(s12=float(u12), s11=float(u11), s22=float(u22))
-    return U, float(u12 / np.sqrt(u11 * u22))
+    return U, float(u12 / math.sqrt(u11 * u22))
 
 
 def true_U(path: LatentPath, params: ModelParams) -> tuple[CovEstimate, float]:
@@ -163,13 +164,12 @@ def truth_record(path: LatentPath, params: ModelParams) -> TruthRecord | list[Tr
         u, gamma = _gram_targets(path, params)
     if not (np.isfinite(u).all() and np.isfinite(gamma).all()):
         raise ValueError("path-wise targets U or gamma overflow a float")
+    sums, gammas = u.reshape(-1, 3).tolist(), gamma.reshape(-1, 3, 3)
+    xis, errors = xi_forms(sums, gammas)
     records = []
-    for u_k, gamma_k in zip(u.reshape(-1, 3), gamma.reshape(-1, 3, 3)):
-        U, R = _cov_and_R(*u_k)
-        G = GammaMatrix(values=gamma_k)
-        try:
-            xi = true_xi(U, G)
-        except DegenerateDataError as exc:  # the model's truth, not the data, is out of range
-            raise ValueError(f"path-wise xi: {exc}") from exc
-        records.append(TruthRecord(U=U, R=R, gamma=G, xi=xi))
+    for s, gamma_k, xi, error in zip(sums, gammas, xis.tolist(), errors):
+        U, R = _cov_and_R(*s)
+        if error:  # the model's truth, not the data, is out of range
+            raise ValueError(f"path-wise xi: {error}") from error
+        records.append(TruthRecord(U=U, R=R, gamma=GammaMatrix(values=gamma_k), xi=xi))
     return records if path.x1.ndim > 1 else records[0]

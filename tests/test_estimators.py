@@ -575,3 +575,21 @@ def test_gamma_matrix_takes_leading_axes_of_3x3_matrices():
     assert est.GammaMatrix(values=np.zeros((2, 4, 3, 3))).values.shape == (2, 4, 3, 3)
     with pytest.raises(ValueError, match="3x3"):
         est.GammaMatrix(values=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("S", [
+    est.CovEstimate(s12=math.nan, s11=1.0, s22=1.0),
+    est.CovEstimate(s12=0.5, s11=math.inf, s22=1.0),  # C = 0 is finite here
+    est.CovEstimate(s12=math.inf, s11=1.0, s22=1.0),
+    est.CovEstimate(s12=0.5, s11=1.0, s22=math.nan),
+])
+def test_correlation_weights_reject_a_non_finite_S(S):
+    # each used to give weights with a NaN, or zeros, and the second an xi of 0
+    with pytest.raises(est.DegenerateDataError, match="is not finite"):
+        est.correlation_weights(S)
+    with pytest.raises(est.DegenerateDataError, match="is not finite"):
+        est.estimate_xi(S, est.GammaMatrix(values=np.eye(3)))
+    forms, errors = est.xi_forms([(S.s12, S.s11, S.s22), (0.0, 1.0, 1.0)],
+                                 np.stack([np.eye(3), np.eye(3)]))
+    assert isinstance(errors[0], est.DegenerateDataError) and errors[1] is None
+    assert forms[1] == 1.0

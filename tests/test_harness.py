@@ -394,3 +394,130 @@ def test_chunk_caches_never_serve_a_stale_chunk(study_model):
         assert [_record_hexes(r.C, r.results) for r in records] == [
             _record_hexes(r.C, r.results) for r in fresh]
     assert back_to_back[2] != back_to_back[3] != back_to_back[4]
+
+
+def _chain(S, gammas, b_n, T, level):
+    """The scalar reference chain estimate_correlation -> estimate_xi ->
+    confidence_interval on one row: ``(C, {variant: VariantResult})`` or its message."""
+    try:
+        with np.errstate(all="ignore"):
+            C = est.estimate_correlation(S)
+            xis = {v: est.estimate_xi(S, G) for v, G in gammas.items()}
+    except est.DegenerateDataError as exc:
+        return str(exc)
+    return C, {v: harness.VariantResult(xi=xi.xi, clamped=xi.clamped,
+                                        ci=est.confidence_interval(C, xi, b_n, T, level))
+               for v, xi in xis.items()}
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert isinstance(got, est.DegenerateDataError) and str(got) == want
+    else:
+        assert got == want
+        assert _record_hexes(*got) == _record_hexes(*want)
+
+
+def test_batched_tail_equals_the_scalar_chain_row_by_row(rng):
+    sums = [(0.3, 1.0, 2.0),  # live
+            (0.0, 0.0, 1.0),  # S11*S22 = 0
+            (math.nan, 1.0, 1.0),  # C not finite
+            (1.0, 1e120, 1.0),  # S11**3 overflows in the weights
+            (0.5, math.inf, 1.0),  # C = 0, but the weights of a non-finite S are undefined
+            (0.3, 1.0, 2.0),  # xi not finite (below)
+            (0.0, 1.0, 1.0),  # v'Gv < 0 for variant 1 (below): clamped
+            (2.0000000000000004, 2.0, 2.0),  # C rounds above 1 and is clipped
+            (-0.7, 0.9, 1.3)]  # live
+    R = len(sums)
+    G = rng.standard_normal((5, R, 3, 3)) * np.exp(rng.uniform(-5.0, 5.0, (5, R, 1, 1)))
+    G = G @ G.mT  # positive semidefinite, with CIs both inside and clipped to [-1, 1]
+    G[2, 5, 0, 1] = G[2, 5, 1, 0] = math.inf
+    G[0, 6] = np.diag([-0.2, 1.0, 1.0])
+    S = est.CovEstimate(*np.array(sums).T)
+    gammas = {v: est.GammaMatrix(values=G[k]) for k, v in enumerate(harness.VARIANTS)}
+    rows = list(harness._estimate_tail(S, gammas, 16, 2.0, 0.9))
+    assert len(rows) == R
+    for i, (s, got) in enumerate(zip(sums, rows)):
+        want = _chain(est.CovEstimate(*s), {v: est.GammaMatrix(values=G[k, i])
+                                            for k, v in enumerate(harness.VARIANTS)}, 16, 2.0, 0.9)
+        _assert_same_outcome(got, want)
+    outcomes = ["D" if isinstance(row, Exception) else "." for row in rows]
+    assert "".join(outcomes) == ".DDDDD..."
+    assert rows[6][1]["1"].clamped and rows[6][1]["1"].xi == 0.0
+    assert rows[7][0] == 1.0
+
+
+def _count_path(inc1, inc2):
+    y = np.zeros((2, len(inc1) + 1), dtype=np.int64)
+    y[:, 1:] = np.cumsum([inc1, inc2], axis=1)
+    return sim.CountPath(y1=y[0], y2=y[1])
+
+
+def test_estimate_counts_fails_as_the_scalar_chain_for_each_reason():
+    cases = [  # (counts, a_n, delta_n, T), one per degenerate reason, then live ones
+        (_count_path([0] * 8, [3] * 8), 1.0, 0.125, 1.0),
+        (_count_path([0, 2**56] * 4, [0, 2**56] * 4), 1e-300, 1.0, 1.0),  # S is NaN
+        (_count_path([0, 2**50] * 4, [0, 1] * 4), 1e-36, 1.0, 1.0),  # S11 ~ 1e103
+        (_count_path([0, 2**40] * 4, [0, 2**40] * 4), 1e-18, 1.0, 1e-200),  # Gamma overflows
+        (_count_path([16, 20, 16, 18], [9, 13, 8, 10]), 5.0, 0.25, 1.0),  # variant 2 clamped
+        (_count_path([5, 9, 2, 7, 4, 6], [3, 8, 2, 5, 6, 4]), 40.0, 1 / 6, 1.0),
+    ]
+    messages = []
+    for counts, a_n, delta_n, T in cases:
+        with np.errstate(all="ignore"):
+            tilde = est.tilde_series(counts, a_n, delta_n)
+            want = _chain(est.estimate_S(tilde), {v: harness.gamma_for_variant(tilde, T, v)
+                                                  for v in harness.VARIANTS}, counts.b_n, T, 0.95)
+        try:
+            got = harness.estimate_counts(counts, a_n, delta_n, T, harness.VARIANTS, 0.95)
+        except est.DegenerateDataError as exc:
+            got = exc
+        _assert_same_outcome(got, want)
+        messages.append(want if isinstance(want, str) else "live")
+    assert [m.split(":")[0] for m in messages] == [
+        "S11*S22 = 0", "correlation is not finite", "weight vector out of float range",
+        "asymptotic variance is not finite", "live", "live"]
+    assert harness.estimate_counts(*cases[4], harness.VARIANTS, 0.95)[1]["2"].clamped
+
+
+@pytest.mark.parametrize("b_n, sub_chunks", [
+    (256, [2, 2, 2, 2, 2, 1]),  # chunks of 8 and 3 replications, sub-chunks of 2
+    (512, [1] * 11),
+])
+def test_chunks_of_several_fine_grid_sub_chunks_equal_each_row_alone(
+        study_model, monkeypatch, b_n, sub_chunks):
+    cfg = small_config(study_model, b_n=(b_n,), variants=harness.VARIANTS, replications=11,
+                       seed=41)
+    sizes = []
+    real = sim.simulate_latent
+    monkeypatch.setattr(sim, "simulate_latent",
+                        lambda params, design, rng: sizes.append(len(rng)) or real(params, design, rng))
+    harness._latent_chunk.cache_clear()
+    cell = harness.run_cell(cfg, b_n, 3.0)
+    assert sizes == sub_chunks
+    alone_cfg = dataclasses.replace(cfg, replications=1)  # every index past 0 runs alone
+    for rec in cell:
+        alone = harness.run_replication(alone_cfg, b_n, 3.0, rec.index)
+        assert alone == rec
+        assert _hexes(alone) == _hexes(rec)
+        assert _record_hexes(alone.C, alone.results) == _record_hexes(rec.C, rec.results)
+
+
+@pytest.mark.parametrize("b_n, first_bad", [(256, 3), (512, 1)])  # in a chunk's 2nd sub-chunk
+def test_errors_in_a_later_sub_chunk_surface_in_index_order(study_model, monkeypatch, b_n,
+                                                            first_bad):
+    r = -100.0  # a_n = b_n**-100 keeps the Poisson means finite where X1 ~ 1e160 overflows the truth
+    cfg = small_config(study_model, b_n=(b_n,), r=(r,), replications=8)
+    before = harness.run_replication(cfg, b_n, r, 0)
+    real = sim.replication_rng
+    k = math.sqrt(16 / b_n)  # the normals of test_errors_surface_in_index_order_within_a_chunk
+    rigged = {first_bad: _FixedNormals([163.0 * k, -160.0 * k]),  # the truth overflows
+              5: _FixedNormals([1e6, 0.0])}  # X1 = inf: the simulation fails
+    monkeypatch.setattr(sim, "replication_rng", lambda seed, b_n, r, i: rigged.get(i)
+                        or real(seed, b_n, r, i))
+    harness._latent_chunk.cache_clear()
+    with pytest.raises(ValueError, match="Poisson means"):
+        harness.run_replication(cfg, b_n, r, 5)
+    with pytest.raises(ValueError, match="path-wise targets U or gamma overflow"):
+        harness.run_cell(cfg, b_n, r)
+    assert harness.run_replication(cfg, b_n, r, 0) == before
