@@ -65,10 +65,11 @@ def study_model() -> sim.ModelParams:
                            x1_0=1.0, x2_0=2.0, T=1.0)
 
 
-def run_rate(model, r, bns, n_reps, seed):
-    """MSE rows of every variant for one rate exponent, with standard errors."""
+def run_rate(model, r, bns, n_reps, seed, n_workers=0):
+    """MSE rows of every variant for one rate exponent, with standard errors; the
+    cells are shared between every usable core, with the rows of one process."""
     cfg = harness.ExperimentConfig(model=model, b_n=bns, r=(r,), replications=n_reps, seed=seed)
-    return harness.run_mse_table(cfg)
+    return harness.run_mse_table(cfg, n_workers=n_workers)
 
 
 def write_comparison(path, rows, reference, bns):

@@ -29,7 +29,8 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
-_THREADS_HELP = "accepted for compatibility (must be >= 0); replications run on one thread"
+_THREADS_HELP = ("processes that share the table's cells, this one included: 0 = every usable "
+                 "core, 1 = all in this process (default); the output is the same for any value")
 
 
 def _fail(code: int, message: str) -> int:

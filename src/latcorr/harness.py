@@ -4,20 +4,26 @@ A grid cell is one (b_n, r) pair with ``a_n = b_n**r``.  Every replication
 owns an RNG substream derived from ``(seed, b_n, r, index)``, simulates one
 latent path and one count path (:func:`simulate_replication`), estimates C
 and every requested xi and CI from the counts (:func:`estimate_counts`, which
-the CLI also calls), and computes the path-wise truth.  Replications run on
-the calling thread in chunks of :data:`CHUNK`: the latent layer (paths,
+the CLI also calls), and computes the path-wise truth.  A cell's replications
+run in one process in chunks of :data:`CHUNK`: the latent layer (paths,
 counts, truth) in sub-chunks that bound its memory, with every substream
 consumed as for one replication alone, then ``S``, every Gamma, ``C``,
 ``xi`` and the CIs of the whole chunk in one stacked pass.  Cell aggregation
-is a fixed-order fold over replication indices.
+is a fixed-order fold over replication indices.  :func:`run_mse_table` may
+share a table's cells out to forked helper processes; no row depends on
+where its cell ran.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import os
+import pickle
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -347,9 +353,9 @@ def run_cell(
 ) -> list[ReplicationRecord]:
     """All replications of one cell, ordered by replication index.
 
-    ``n_workers`` (0 = auto) is accepted for compatibility and validated; a
-    thread pool measured slower than the calling thread on these
-    millisecond-scale, interpreter-bound replications.
+    A cell always runs in the calling process; the unit of parallel work is a
+    cell (:func:`run_mse_table`).  ``n_workers`` is accepted for symmetry with
+    it and validated.
     """
     if n_workers < 0:
         raise ValueError("n_workers must be nonnegative")
@@ -384,15 +390,128 @@ def run_mse_table(config: ExperimentConfig, n_workers: int = 1) -> list[MseRow]:
 
     Rows are ordered (r, b_n, variant) with r and b_n in config order.
     ``mse = mean((xi_hat - xi_true)^2)`` over non-degenerate replications,
-    aggregated in replication-index order.  ``n_workers`` is validated as in
-    :func:`run_cell` and does not change the result.
+    aggregated in replication-index order.  ``n_workers`` caps the processes,
+    the caller included, that share the cells (0 = every usable core, 1 = all
+    in process; so is a table run while the process has another thread, as
+    the helpers serve one table at a time and a fork copies only the calling
+    thread).  The rows are bit-identical for any value (:func:`_run_shared`).
     """
-    rows: list[MseRow] = []
-    for r in config.r:
-        for b_n in config.b_n:
-            records = run_cell(config, b_n, r, n_workers=n_workers)
-            rows.extend(aggregate_cell(records, config, b_n, r))
-    return rows
+    if n_workers < 0:
+        raise ValueError("n_workers must be nonnegative")
+    cells = [(r, b_n) for r in config.r for b_n in config.b_n]
+    shared = n_workers != 1 and _CAN_FORK and threading.active_count() == 1
+    done = _run_shared(config, cells, n_workers) if shared else {}
+    return [row for i, (r, b_n) in enumerate(cells)
+            for row in done.get(i) or _cell_rows(config, r, b_n)]
+
+
+def _cell_rows(config: ExperimentConfig, r: float, b_n: int) -> list[MseRow]:
+    return aggregate_cell(run_cell(config, b_n, r), config, b_n, r)
+
+
+# A helper is an os.fork child, kept for later tables, that reads pickled (config, cells)
+# commands from a pipe and writes back the rows of each cell up to the first that raises.
+# It ignores SIGINT and exits at the end of its command pipe, so when the caller exits.  A
+# call that fails to reach a helper, or is interrupted, kills every helper, so none is left
+# at work on its table.  A helper keeps the module state it was forked with: code that
+# patches that state passes n_workers=1 or calls _stop_helpers.
+_CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+_helpers: list = []  # (pid, command pipe, reply pipe) of each live helper
+
+
+def _shares(config: ExperimentConfig, n_workers: int) -> list[list[int]]:
+    """Table positions of the cells each of k = min(``n_workers`` or the usable cores,
+    the usable cores, the cells) processes runs, the caller's first: largest ``b_n``
+    first, each to the least loaded, at a cost per replication of ``1024 + b_n *
+    refinement`` fine steps (fitted to cell times from ``b_n`` 16 to 1024)."""
+    sizes = [b_n for _ in config.r for b_n in config.b_n]
+    usable = len(os.sched_getaffinity(0))
+    loads = [0] * min(n_workers or usable, usable, len(sizes))
+    shares: list[list[int]] = [[] for _ in loads]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += 1024 + sizes[i] * config.refinement
+    return [sorted(share) for share in shares]
+
+
+def _run_shared(config: ExperimentConfig, cells: list, n_workers: int) -> dict:
+    """``{position: rows}`` of the cells that ran without error, the caller's share in
+    process and each other on a helper.  :func:`run_mse_table` reruns any other cell in
+    process in table order, so an error raised is the serial loop's."""
+    own, *others = _shares(config, n_workers)
+    done = {}
+    try:
+        while len(_helpers) < len(others):
+            _helpers.append(_start_helper())
+        for (_, commands, _), share in zip(_helpers, others):
+            pickle.dump((config, [cells[i] for i in share]), commands, pickle.HIGHEST_PROTOCOL)
+            commands.flush()
+        for i in own:
+            try:
+                done[i] = _cell_rows(config, *cells[i])
+            except Exception:
+                break
+        for (_, _, replies), share in zip(_helpers, others):
+            for i, rows in zip(share, pickle.load(replies)):
+                # with the caller's r and b_n objects, as in rows run here: no float of their own
+                done[i] = [replace(row, r=cells[i][0], b_n=cells[i][1]) for row in rows]
+    except (OSError, EOFError, pickle.UnpicklingError):  # no fork or pipe, or a helper died
+        _stop_helpers()
+    except BaseException:  # Ctrl-C or a fault: a helper left at work would hold up the next call
+        _stop_helpers()
+        raise
+    return done
+
+
+def _start_helper() -> tuple:
+    import signal  # only helpers need it; kept off `import latcorr`
+
+    fds = (cmd_r, cmd_w, rep_r, rep_w) = os.pipe() + os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    if pid:
+        os.close(cmd_r)
+        os.close(rep_w)
+        return pid, open(cmd_w, "wb"), open(rep_r, "rb")
+    try:  # the helper
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(cmd_w)  # or its command pipe would never end
+        os.close(rep_r)
+        commands, replies = open(cmd_r, "rb"), open(rep_w, "wb")
+        while True:  # until EOFError at the end of the commands
+            config, cells = pickle.load(commands)
+            rows = []
+            with contextlib.suppress(Exception):  # the caller reruns the cell, which raises it
+                for r, b_n in cells:
+                    rows.append(_cell_rows(config, r, b_n))
+            pickle.dump(rows, replies, pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+    finally:
+        os._exit(0)
+
+
+def _stop_helpers(kill: bool = True) -> None:
+    """Close this process's ends of every helper's pipes; with ``kill``, kill and reap each."""
+    import signal
+
+    while _helpers:
+        pid, *pipes = _helpers.pop()
+        for pipe in pipes:
+            with contextlib.suppress(OSError):  # a command left unsent on a broken pipe
+                pipe.close()
+        with contextlib.suppress(OSError):  # gone already, or reaped elsewhere
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+if _CAN_FORK:  # a forked child, a helper included, only closes its copies of the helper pipes
+    os.register_at_fork(after_in_child=functools.partial(_stop_helpers, kill=False))
 
 
 def fit_rate_slope(rows: list[MseRow], variant: str, r: float) -> float:

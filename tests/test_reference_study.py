@@ -39,3 +39,12 @@ def test_comparison_reads_stderr_from_rows(study, tmp_path):
         ref = study.REFERENCE_MSE[r][row.variant][study.REFERENCE_BNS.index(row.b_n)]
         assert float(line["deviation_in_se"]) == pytest.approx((row.mse - ref) / se, abs=0.006)
 
+
+def test_run_rate_gives_the_same_rows_in_process_and_shared(study, monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    harness._stop_helpers()
+    try:
+        args = (study.study_model(), 3.0, (16, 32, 64), 4, 5)
+        assert repr(study.run_rate(*args, n_workers=2)) == repr(study.run_rate(*args, n_workers=1))
+    finally:
+        harness._stop_helpers()
