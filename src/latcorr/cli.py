@@ -133,7 +133,9 @@ def cmd_mse_table(args: argparse.Namespace) -> int:
 
 
 def cmd_rate_check(args: argparse.Namespace) -> int:
-    variant = args.variant[0] if args.variant else "1"
+    variant, *more = args.variant or ["1"]
+    if more:
+        raise ValueError(f"rate-check fits one variant, got --variant {' '.join(args.variant)}")
     _, exp = _load_experiment(args)
     slope = harness.rate_check(exp, variant, n_workers=args.threads)
     print(f"variant {variant}: slope of log(mse) vs log(b_n) = {slope:.4f}")

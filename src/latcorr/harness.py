@@ -8,7 +8,8 @@ the CLI also calls), and computes the path-wise truth.  A cell's replications
 run in one process in chunks of :data:`CHUNK`: the latent layer (paths,
 counts, truth) in sub-chunks that bound its memory, with every substream
 consumed as for one replication alone, then ``S``, every Gamma, ``C``,
-``xi`` and the CIs of the whole chunk in one stacked pass.  Cell aggregation
+``xi`` and the CIs of the whole chunk in one stacked pass;
+:func:`run_replication` is the chunk of one replication.  Cell aggregation
 is a fixed-order fold over replication indices.  :func:`run_mse_table` may
 share a table's cells out to forked helper processes; no row depends on
 where its cell ran.
@@ -58,6 +59,12 @@ CHUNK_BYTES = 1 << 18
 _FINE_ROWS = 8
 
 
+def _reject_repeats(variants) -> None:
+    repeated = [v for v in dict.fromkeys(variants) if variants.count(v) > 1]
+    if repeated:
+        raise ValueError(f"repeated variants: {repeated}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment grid: model x b_n list x rate exponents x variants."""
@@ -98,6 +105,7 @@ class ExperimentConfig:
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ValueError(f"unknown variants: {unknown}")
+        _reject_repeats(self.variants)
         if self.refinement < 1:
             raise ValueError("refinement must be at least 1")
         if not 0.0 < self.ci_level < 1.0:
@@ -200,32 +208,19 @@ def _simulate(model: sim.ModelParams, refinement: int, b_n: int, r: float, rng):
     return design, path, counts
 
 
-def _latent_layer(seed: int, model: sim.ModelParams, refinement: int, b_n: int, r: float,
-                  indices: range):
-    """Design, then ``(counts, true_R, true_xi)`` per replication in ``indices``, the
-    fine-grid work in sub-chunks of at most :data:`CHUNK_BYTES`; the counts are
-    read-only, as the chunk cache shares them."""
-    size = max(1, min(CHUNK, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * refinement)))
-    rows = []
+def _latent_layer(config: ExperimentConfig, b_n: int, r: float, indices: range):
+    """Design, the count paths of the replications in ``indices`` stacked in index order,
+    and their ``(true_R, true_xi)``; the fine-grid work runs in sub-chunks of at most
+    :data:`CHUNK_BYTES`, each replication's substream consumed as for it alone."""
+    size = max(1, min(CHUNK, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * config.refinement)))
+    y1, y2, truths = [], [], []
     for part in (indices[k:k + size] for k in range(0, len(indices), size)):
-        rngs = [sim.replication_rng(seed, b_n, r, i) for i in part]
-        design, path, counts = _simulate(model, refinement, b_n, r, rngs)
-        truths = oracle.truth_record(path, model)
-        counts.y1.flags.writeable = counts.y2.flags.writeable = False
-        rows += [(row, t.R, t.xi) for row, t in zip(counts.rows(), truths)]
-    return design, tuple(rows)
-
-
-@functools.lru_cache(maxsize=1)
-def _latent_chunk(seed: int, model: sim.ModelParams, refinement: int, b_n: int, r: float,
-                  start: int, stop: int):
-    """:func:`_latent_layer` of replications ``start..stop-1``, or None if one
-    of them fails.  Keeps only the chunk :func:`run_cell` is working through;
-    the arguments are every input that fixes it."""
-    try:
-        return _latent_layer(seed, model, refinement, b_n, r, range(start, stop))
-    except Exception:  # not swallowed: run_replication reruns each index alone, which raises it
-        return None
+        rngs = [sim.replication_rng(config.seed, b_n, r, i) for i in part]
+        design, path, counts = _simulate(config.model, config.refinement, b_n, r, rngs)
+        y1.append(counts.y1)
+        y2.append(counts.y2)
+        truths += [(t.R, t.xi) for t in oracle.truth_record(path, config.model)]
+    return design, sim.CountPath(y1=np.concatenate(y1), y2=np.concatenate(y2)), truths
 
 
 def _frozen(cls, **fields):
@@ -286,8 +281,10 @@ def estimate_counts(
 
     Raises ``estimators.DegenerateDataError`` if S11*S22 = 0, or if C, S or an
     xi is not finite (finite counts and scales whose products overflow), and
-    ValueError if ``a_n``, ``delta_n``, ``T`` or ``level`` is out of range.
+    ValueError if a variant repeats or ``a_n``, ``delta_n``, ``T`` or ``level``
+    is out of range.
     """
+    _reject_repeats(variants)
     if not (T > 0 and math.isfinite(T)):
         raise ValueError("T must be positive and finite")
     if not 0.0 < level < 1.0:
@@ -299,22 +296,24 @@ def estimate_counts(
     return row
 
 
-_chunk_arrays_entry: list = [None]  # (chunk, variants, overrides, level, rows) of the last call
-
-
-def _chunk_estimates(chunk, config: ExperimentConfig) -> list:
-    """:func:`_estimate_tail` of each replication of a :func:`_latent_layer` chunk, in
-    one stacked pass.  A one-entry cache keyed by the estimation settings and the
-    chunk object, which it holds, so a chunk computed anew never meets old estimates."""
-    key = (config.variants, config.bandwidth_overrides, config.ci_level)
-    entry = _chunk_arrays_entry[0]
-    if not (entry and entry[0] is chunk and entry[1:4] == key):
-        design, latent = chunk
-        S, gammas = _estimate_arrays(sim.CountPath.stack([row[0] for row in latent]), design.a_n,
-                                     design.delta_n, config.model.T, *key[:2])
-        rows = list(_estimate_tail(S, gammas, design.b_n, config.model.T, config.ci_level))
-        entry = _chunk_arrays_entry[0] = (chunk, key[0], dict(key[1]), key[2], rows)
-    return entry[4]
+def _records(config: ExperimentConfig, b_n: int, r: float,
+             indices: range) -> list[ReplicationRecord]:
+    """The records of the replications in ``indices``: their latent layer, then ``S``,
+    every Gamma, ``C``, ``xi`` and the CIs of all of them in one stacked pass."""
+    model = config.model
+    if model.sigma1 == 0.0 or model.sigma2 == 0.0:
+        raise estimators.DegenerateDataError(
+            "model has a zero volatility: true correlation targets are undefined")
+    design, counts, truths = _latent_layer(config, b_n, r, indices)
+    S, gammas = _estimate_arrays(counts, design.a_n, design.delta_n, model.T, config.variants,
+                                 config.bandwidth_overrides)
+    rows = _estimate_tail(S, gammas, b_n, model.T, config.ci_level)
+    records = []
+    for index, (true_R, true_xi), row in zip(indices, truths, rows):
+        C, results = (None, {}) if isinstance(row, estimators.DegenerateDataError) else row
+        records.append(_frozen(ReplicationRecord, index=index, b_n=b_n, r=r, degenerate=C is None,
+                               C=C, results=results, true_R=true_R, true_xi=true_xi))
+    return records
 
 
 def run_replication(
@@ -322,36 +321,22 @@ def run_replication(
 ) -> ReplicationRecord:
     """Simulate and estimate one replication of one grid cell.
 
-    Deterministic given ``(config.seed, b_n, r, index)``.  A replication with
-    degenerate count data (S11*S22 = 0) is flagged, not fatal; a degenerate
-    model (zero volatility) aborts immediately.
-
-    It comes from the chunk of :data:`CHUNK` replications that ``index`` falls
-    in, computed on the first call and kept until another chunk is asked for.
-    One outside ``config.replications``, or of a chunk in which some replication
-    fails, is computed alone, so it raises its own error, or none.
+    Deterministic given ``(config.seed, b_n, r, index)``, and bit for bit the
+    record :func:`run_cell` gives it.  A replication with degenerate count data
+    (S11*S22 = 0) is flagged, not fatal; a degenerate model (zero volatility)
+    aborts immediately.
     """
-    if config.model.sigma1 == 0.0 or config.model.sigma2 == 0.0:
-        raise estimators.DegenerateDataError(
-            "model has a zero volatility: true correlation targets are undefined")
-    key = (config.seed, config.model, config.refinement, b_n, r)
-    start = index - index % CHUNK
-    chunk = None
-    if 0 <= index < config.replications:
-        chunk = _latent_chunk(*key, start, min(start + CHUNK, config.replications))
-    if chunk is None:
-        chunk, start = _latent_layer(*key, range(index, index + 1)), index
-    _, true_R, true_xi = chunk[1][index - start]
-    row = _chunk_estimates(chunk, config)[index - start]
-    C, results = (None, {}) if isinstance(row, estimators.DegenerateDataError) else row
-    return _frozen(ReplicationRecord, index=index, b_n=b_n, r=r, degenerate=C is None, C=C,
-                   results=dict(results), true_R=true_R, true_xi=true_xi)
+    if index < 0:
+        raise ValueError(f"index must be nonnegative, got {index}")
+    return _records(config, b_n, r, range(index, index + 1))[0]
 
 
 def run_cell(
     config: ExperimentConfig, b_n: int, r: float, n_workers: int = 1
 ) -> list[ReplicationRecord]:
-    """All replications of one cell, ordered by replication index.
+    """All replications of one cell, ordered by replication index, in chunks of
+    :data:`CHUNK`.  A chunk that raises runs again one replication at a time, so
+    the first failing index raises its own error.
 
     A cell always runs in the calling process; the unit of parallel work is a
     cell (:func:`run_mse_table`).  ``n_workers`` is accepted for symmetry with
@@ -359,7 +344,14 @@ def run_cell(
     """
     if n_workers < 0:
         raise ValueError("n_workers must be nonnegative")
-    return [run_replication(config, b_n, r, i) for i in range(config.replications)]
+    records = []
+    for start in range(0, config.replications, CHUNK):
+        indices = range(start, min(start + CHUNK, config.replications))
+        try:
+            records += _records(config, b_n, r, indices)
+        except Exception:  # not swallowed: the index that fails raises it again
+            records += [run_replication(config, b_n, r, i) for i in indices]
+    return records
 
 
 def aggregate_cell(
@@ -413,8 +405,8 @@ def _cell_rows(config: ExperimentConfig, r: float, b_n: int) -> list[MseRow]:
 # commands from a pipe and writes back the rows of each cell up to the first that raises.
 # It ignores SIGINT and exits at the end of its command pipe, so when the caller exits.  A
 # call that fails to reach a helper, or is interrupted, kills every helper, so none is left
-# at work on its table.  A helper keeps the module state it was forked with: code that
-# patches that state passes n_workers=1 or calls _stop_helpers.
+# at work on its table.  A helper keeps the functions it was forked with: code that
+# monkeypatches them passes n_workers=1 or calls _stop_helpers.
 _CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 _helpers: list = []  # (pid, command pipe, reply pipe) of each live helper
 

@@ -149,24 +149,6 @@ class CountPath:
     def b_n(self) -> int:
         return self.y1.shape[-1] - 1
 
-    def rows(self) -> list[CountPath]:
-        """The count paths along the leading axis, as views; a row of a
-        checked path needs no checks of its own."""
-        return [CountPath._checked(y1, y2) for y1, y2 in zip(self.y1, self.y2)]
-
-    @staticmethod
-    def stack(paths: Sequence[CountPath]) -> CountPath:
-        """Checked count paths stacked along a new leading axis, the inverse of
-        :meth:`rows`; the stack needs no checks of its own."""
-        return CountPath._checked(np.array([p.y1 for p in paths]), np.array([p.y2 for p in paths]))
-
-    @staticmethod
-    def _checked(y1: np.ndarray, y2: np.ndarray) -> CountPath:
-        path = object.__new__(CountPath)
-        object.__setattr__(path, "y1", y1)
-        object.__setattr__(path, "y2", y2)
-        return path
-
 
 @dataclass(frozen=True)
 class RegimeReport:

@@ -253,7 +253,7 @@ def test_6_rate_slopes(fast_regime_rows, slow_regime_rows):
 
 @pytest.mark.skipif(not os.environ.get("LATCORR_FULL"),
                     reason="full-scale table reproduction is opt-in: set LATCORR_FULL=1 "
-                           "(several minutes; also available via scripts/run_reference_study.py --full)")
+                           "(under a minute; also available via scripts/run_reference_study.py --full)")
 def test_7_full_scale_tables():
     """N=1000 reproduction of the reference tables, cell by cell, within
     3 cross-replication standard errors.

@@ -814,3 +814,27 @@ def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == out
     assert captured.err.startswith(err) and captured.err.count("\n") == 1
+
+
+def _counts_file(d: Path) -> Path:
+    cfg = io.load_config(str(write_config(d, b_n=[64])))
+    design, _, counts = harness.simulate_replication(cfg.experiment, 64, 3.0, 0)
+    io.write_count_series(str(d / "counts.csv"), counts, design.delta_n)
+    return d / "counts.csv"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (lambda d: ["mse-table", "--config", str(write_config(d, variants=["1", "1", "w"]))],
+     "error: repeated variants: ['1']\n"),
+    (lambda d: ["estimate", "--counts", str(_counts_file(d)), "--a-n", "262144",
+                "--variant", "2", "--variant", "2"],
+     "error: repeated variants: ['2']\n"),
+    (lambda d: ["rate-check", "--config", str(write_config(d, b_n=[16, 32, 64])),
+                "--variant", "1", "--variant", "2"],
+     "error: rate-check fits one variant, got --variant 1 2\n"),
+], ids=["mse-table-config", "estimate", "rate-check"])
+def test_a_repeated_or_extra_variant_exits_2_naming_it(tmp_path, capsys, argv, err):
+    # each used to print a variant's rows twice, or fit the first variant alone, with exit 0
+    assert cli.main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err

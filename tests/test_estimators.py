@@ -463,7 +463,7 @@ def test_pairmap_of_stacked_matrices_equals_each(rng):
 @pytest.mark.parametrize(
     "b_n, widths",
     # n = b_n - 1.  b_n = 41: the three rows share one block pass; widths 4 and 8
-    # divide n = 40, 3 and 7 do not, and 40 and 41 take the cumsum branch.  b_n =
+    # divide n = 40, 3 and 7 do not, and 40 and 41 make one block of the row.  b_n =
     # 9001: each row is longer than _WINDOW_CHUNK and runs alone; widths 30, 1000
     # and 4500 divide n = 9000, 7 and 5000 do not.  The order makes the block
     # arrays grow and shrink between calls.

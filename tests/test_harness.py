@@ -30,6 +30,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="variant"):
             small_config(study_model, variants=("1", "q"))
 
+    def test_rejects_a_repeated_variant_naming_it(self, study_model):
+        with pytest.raises(ValueError, match=r"^repeated variants: \['1'\]$"):
+            small_config(study_model, variants=("1", "w", "1"))
+
     def test_rejects_bad_overrides(self, study_model):
         with pytest.raises(ValueError, match="bandwidth_overrides"):
             small_config(study_model, bandwidth_overrides={"1": 0.5})
@@ -53,6 +57,14 @@ class TestRunReplication:
                                        variants=("1",), replications=1, seed=1)
         with pytest.raises(est.DegenerateDataError):
             harness.run_replication(cfg, 16, 3.0, 0)
+
+    def test_negative_index_rejected_before_any_draw(self, study_model, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a substream was built")
+
+        monkeypatch.setattr(sim, "replication_rng", no_draw)
+        with pytest.raises(ValueError, match="^index must be nonnegative, got -1$"):
+            harness.run_replication(small_config(study_model), 16, 3.0, -1)
 
     def test_record_contents(self, study_model):
         cfg = small_config(study_model)
@@ -88,13 +100,14 @@ class TestMseTable:
     def test_stubbed_estimator_gives_zero_mse(self, study_model, monkeypatch):
         ci = est.confidence_interval(0.5, 0.0, 16, 1.0)
 
-        def stub(config, b_n, r, index):
+        def stub(config, b_n, r, n_workers=1):
             results = {v: harness.VariantResult(xi=1.23, clamped=False, ci=ci)
                        for v in config.variants}
-            return harness.ReplicationRecord(index=index, b_n=b_n, r=r, degenerate=False,
-                                             C=0.5, results=results, true_R=0.5, true_xi=1.23)
+            return [harness.ReplicationRecord(index=index, b_n=b_n, r=r, degenerate=False,
+                                              C=0.5, results=results, true_R=0.5, true_xi=1.23)
+                    for index in range(config.replications)]
 
-        monkeypatch.setattr(harness, "run_replication", stub)
+        monkeypatch.setattr(harness, "run_cell", stub)
         cfg = small_config(study_model, replications=1)
         rows = harness.run_mse_table(cfg)
         assert all(row.mse == 0.0 for row in rows)
@@ -274,6 +287,12 @@ def test_estimate_counts_rejects_non_finite_inputs(name, value):
         harness.estimate_counts(counts, **kwargs)
 
 
+def test_estimate_counts_rejects_a_repeated_variant_naming_it():
+    counts = sim.CountPath(y1=np.array([0, 3, 4, 9, 12, 20]), y2=np.array([0, 2, 2, 5, 9, 10]))
+    with pytest.raises(ValueError, match=r"^repeated variants: \['2'\]$"):
+        harness.estimate_counts(counts, 100.0, 0.2, 1.0, ["2", "w", "2"], 0.95)
+
+
 def _hexes(rec: harness.ReplicationRecord) -> list:
     xis = [float(res.xi).hex() for res in rec.results.values()]
     return [None if rec.C is None else float(rec.C).hex(), float(rec.true_xi).hex(), *xis]
@@ -296,13 +315,12 @@ def test_run_cell_equals_single_replications_in_reverse_order(study_model, repli
 
 def test_simulate_replication_gives_the_counts_of_the_chunk(study_model):
     cfg = small_config(study_model, replications=11)
-    design, latent = harness._latent_chunk(cfg.seed, cfg.model, cfg.refinement, 16, 3.0, 8, 11)
-    for i, (counts, _, _) in zip(range(8, 11), latent):
+    design, counts, _ = harness._latent_layer(cfg, 16, 3.0, range(8, 11))
+    for i, y1, y2 in zip(range(8, 11), counts.y1, counts.y2):
         alone_design, _, alone = harness.simulate_replication(cfg, 16, 3.0, i)
         assert alone_design == design
-        assert counts.y1.tobytes() == alone.y1.tobytes()
-        assert counts.y2.tobytes() == alone.y2.tobytes()
-        assert not (counts.y1.flags.writeable or counts.y2.flags.writeable)
+        assert y1.tobytes() == alone.y1.tobytes()
+        assert y2.tobytes() == alone.y2.tobytes()
 
 
 class _FixedNormals(np.random.Generator):
@@ -328,7 +346,6 @@ def test_errors_surface_in_index_order_within_a_chunk(study_model, monkeypatch):
               5: _FixedNormals([1e6, 0.0])}  # X1 = inf: the simulation fails
     monkeypatch.setattr(sim, "replication_rng", lambda seed, b_n, r, i: rigged.get(i)
                         or real(seed, b_n, r, i))
-    harness._latent_chunk.cache_clear()  # it holds the chunk of the real generators
     with pytest.raises(ValueError, match="Poisson means"):
         harness.run_replication(cfg, 16, r, 5)
     with pytest.raises(ValueError, match="path-wise targets U or gamma overflow"):
@@ -367,14 +384,9 @@ def test_chunks_mixing_live_and_degenerate_rows_equal_each_row_alone(
         assert _record_hexes(C, results) == _record_hexes(rec.C, rec.results)
 
 
-def _clear_chunk_caches():
-    harness._latent_chunk.cache_clear()
-    harness._chunk_arrays_entry[0] = None
-
-
 def test_chunk_caches_never_serve_a_stale_chunk(study_model):
-    # one chunk of 6 replications, so each run reuses the chunk of the run before it,
-    # and only the variants, bandwidth overrides or CI level tell their estimates apart
+    # one chunk of 6 replications, run back to back with settings that only the variants,
+    # bandwidth overrides or CI level tell apart: each run equals a second run of its own
     base = small_config(study_model, b_n=(64,), variants=("1", "w"), replications=6)
     configs = [
         base,
@@ -385,10 +397,8 @@ def test_chunk_caches_never_serve_a_stale_chunk(study_model):
                             ci_level=0.5),
         base,
     ]
-    _clear_chunk_caches()
     back_to_back = [harness.run_cell(cfg, 64, 3.0) for cfg in configs]
     for cfg, records in zip(configs, back_to_back):
-        _clear_chunk_caches()
         fresh = harness.run_cell(cfg, 64, 3.0)
         assert records == fresh
         assert [_record_hexes(r.C, r.results) for r in records] == [
@@ -492,7 +502,6 @@ def test_chunks_of_several_fine_grid_sub_chunks_equal_each_row_alone(
     real = sim.simulate_latent
     monkeypatch.setattr(sim, "simulate_latent",
                         lambda params, design, rng: sizes.append(len(rng)) or real(params, design, rng))
-    harness._latent_chunk.cache_clear()
     cell = harness.run_cell(cfg, b_n, 3.0)
     assert sizes == sub_chunks
     alone_cfg = dataclasses.replace(cfg, replications=1)  # every index past 0 runs alone
@@ -515,7 +524,6 @@ def test_errors_in_a_later_sub_chunk_surface_in_index_order(study_model, monkeyp
               5: _FixedNormals([1e6, 0.0])}  # X1 = inf: the simulation fails
     monkeypatch.setattr(sim, "replication_rng", lambda seed, b_n, r, i: rigged.get(i)
                         or real(seed, b_n, r, i))
-    harness._latent_chunk.cache_clear()
     with pytest.raises(ValueError, match="Poisson means"):
         harness.run_replication(cfg, b_n, r, 5)
     with pytest.raises(ValueError, match="path-wise targets U or gamma overflow"):

@@ -264,11 +264,3 @@ def test_validate_regime_rejects_non_finite_inputs(b_n, a_n, name):
     # a NaN a_n used to report r = nan, and an infinite one met both conditions
     with pytest.raises(ValueError, match=f"^{name} must be"):
         sim.validate_regime(b_n, a_n)
-
-
-def test_count_path_stack_inverts_rows():
-    y = np.array([[[0, 1, 3], [0, 0, 2]], [[0, 2, 2], [0, 1, 4]]])
-    path = sim.CountPath(y1=y[:, 0], y2=y[:, 1])
-    stacked = sim.CountPath.stack(path.rows())
-    assert np.array_equal(stacked.y1, path.y1) and np.array_equal(stacked.y2, path.y2)
-    assert stacked.b_n == 2 and len(stacked.rows()) == 2
