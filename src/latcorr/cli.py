@@ -7,10 +7,11 @@ estimate   : run all estimators on an external count-series file
 mse-table  : run the Monte Carlo grid and write the MSE table (csv or md)
 rate-check : fit the log-MSE / log-b_n slope for one variant
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid configuration, arguments or
-counts file, 3 degenerate data.  A command returns 0 or raises, and ``main``
-alone maps the exception to its code and one ``error:`` line; only the output
-writes and a table with no valid row (exit 3, after its warning) return a code.
+Exit codes: 0 success, 1 I/O failure or out of memory, 2 invalid
+configuration, arguments or counts file, 3 degenerate data.  A command returns
+0 or raises, and ``main`` alone maps the exception to its code and one
+``error:`` line; only the output writes and a table with no valid row (exit 3,
+after its warning) return a code.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
-_THREADS_HELP = ("processes that share the table's cells, this one included: 0 = every usable "
+_THREADS_HELP = ("processes that share the table's columns, this one included: 0 = every usable "
                  "core, 1 = all in this process (default); the output is the same for any value")
 
 
@@ -201,6 +202,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_CONFIG, str(exc))
     except OSError as exc:  # an unreadable --counts or --config; writes report their own
         return _fail(EXIT_IO, f"cannot read input: {exc}")
+    except MemoryError as exc:  # a grid within the config's caps that this host cannot hold
+        return _fail(EXIT_IO, f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -208,8 +208,7 @@ class ConfidenceInterval:
     level: float
 
 
-def tilde_series(counts: CountPath, a_n: float, delta_n: float) -> TildeSeries:
-    """Convert cumulative counts, with any leading axes, to rate-normalized increments."""
+def _tilde_scale(a_n: float, delta_n: float) -> float:
     if not (a_n > 0 and math.isfinite(a_n)):
         raise ValueError("a_n must be positive and finite")
     if not (delta_n > 0 and math.isfinite(delta_n)):
@@ -218,6 +217,14 @@ def tilde_series(counts: CountPath, a_n: float, delta_n: float) -> TildeSeries:
     scale = 1.0 / product if product > 0.0 else math.inf
     if not 0.0 < scale < math.inf:
         raise ValueError(f"a_n * delta_n = {product!r} gives no finite nonzero scale")
+    return scale
+
+
+def tilde_series(counts: CountPath, a_n: float | list[float], delta_n: float) -> TildeSeries:
+    """Convert cumulative counts, with any leading axes, to rate-normalized increments;
+    ``a_n`` is a float, or a list with one per row of counts with one leading axis."""
+    scale = (np.array([[_tilde_scale(a, delta_n)] for a in a_n]) if isinstance(a_n, list)
+             else _tilde_scale(a_n, delta_n))  # each in Python floats, as for one row alone
     rows = np.empty((2,) + counts.y1.shape[:-1] + (counts.b_n,))
     for row, y in zip(rows, (counts.y1, counts.y2)):
         np.subtract(y[..., 1:], y[..., :-1], out=row)  # int64 differences cast once, as np.diff's

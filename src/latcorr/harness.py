@@ -1,18 +1,19 @@
 """Monte Carlo harness: the replication pipeline, MSE tables, rate checks.
 
-A grid cell is one (b_n, r) pair with ``a_n = b_n**r``.  Every replication
-owns an RNG substream derived from ``(seed, b_n, r, index)``, simulates one
-latent path and one count path (:func:`simulate_replication`), estimates C
-and every requested xi and CI from the counts (:func:`estimate_counts`, which
-the CLI also calls), and computes the path-wise truth.  A cell's replications
-run in one process in chunks of :data:`CHUNK`: the latent layer (paths,
-counts, truth) in sub-chunks that bound its memory, with every substream
-consumed as for one replication alone, then ``S``, every Gamma, ``C``,
-``xi`` and the CIs of the whole chunk in one stacked pass;
-:func:`run_replication` is the chunk of one replication.  Cell aggregation
-is a fixed-order fold over replication indices.  :func:`run_mse_table` may
-share a table's cells out to forked helper processes; no row depends on
-where its cell ran.
+A grid cell is one (b_n, r) pair with ``a_n = b_n**r``; a column is one
+position of the config's ``b_n`` with every ``r``.  Every replication owns an
+RNG substream derived from ``(seed, b_n, r, index)``, simulates one latent
+path and one count path (:func:`simulate_replication`), estimates C and every
+requested xi and CI from the counts (:func:`estimate_counts`, which the CLI
+also calls), and computes the path-wise truth.  A table runs column by column
+in chunks of :data:`CHUNK` indices stacked over every ``r``, ``r``-major: the
+latent layer (paths, counts, truth) in sub-chunks that bound its memory, each
+substream consumed as for one replication alone, then ``S``, every Gamma,
+``C``, ``xi`` and the CIs of the stack in one pass, one ``a_n`` per row.
+:func:`run_cell` is its one-``r`` case and :func:`run_replication` the chunk
+of one replication.  Cell aggregation is a fixed-order fold over replication
+indices.  :func:`run_mse_table` may share a table's columns out to forked
+helper processes; no row depends on where, or beside which ``r``, it ran.
 """
 
 from __future__ import annotations
@@ -49,14 +50,18 @@ __all__ = [
 
 VARIANTS = ("1", "2", *estimators.VARIANT_EXPONENTS)
 
-#: Consecutive replications estimated together, as one chunk.
+#: Consecutive replication indices estimated together, as one chunk (for every r of a column).
 CHUNK = 8
 #: Bytes of fine-grid work arrays a chunk's latent layer may hold at once: one replication
 #: peaks at about ``_FINE_ROWS`` float64 rows of ``b_n*m`` values, so it runs in sub-chunks of
-#: 8 up to ``b_n*m`` = 512, 4 at 1024, 2 at 2048, 1 from 4096 on.  Each array then stays under
-#: glibc's 128 KiB mmap threshold and is reused; 512 KiB left a desk round 0.5 MiB more resident.
+#: 32 rows at ``b_n*m`` = 128, 8 at 512, 4 at 1024, 2 at 2048, 1 from 4096 on.  Each array then
+#: stays under glibc's 128 KiB mmap threshold and is reused; 512 KiB left a desk round 0.5 MiB
+#: more resident.
 CHUNK_BYTES = 1 << 18
 _FINE_ROWS = 8
+#: Most fine steps ``b_n * refinement`` a config may ask for; one replication's latent layer
+#: then holds about ``_FINE_ROWS`` float64 rows of that length, 1 GiB.
+MAX_FINE_STEPS = 1 << 24
 
 
 def _reject_repeats(variants) -> None:
@@ -108,6 +113,9 @@ class ExperimentConfig:
         _reject_repeats(self.variants)
         if self.refinement < 1:
             raise ValueError("refinement must be at least 1")
+        if max(self.b_n) * self.refinement > MAX_FINE_STEPS:
+            raise ValueError(f"b_n * refinement = {max(self.b_n)} * {self.refinement} fine steps "
+                             f"is above the cap of {MAX_FINE_STEPS}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie strictly between 0 and 1")
         bad = [v for v in self.bandwidth_overrides if v not in estimators.VARIANT_EXPONENTS]
@@ -192,31 +200,34 @@ def simulate_replication(
     Deterministic given ``(config.seed, b_n, r, index)``: the replication's
     substream is consumed by the latent normals, then the Poisson draws.
     """
-    return _simulate(config.model, config.refinement, b_n, r,
-                     sim.replication_rng(config.seed, b_n, r, index))
+    design = sim.SamplingDesign(b_n=b_n, a_n=float(b_n) ** r, m=config.refinement, T=config.model.T)
+    rng = sim.replication_rng(config.seed, b_n, r, index)
+    return (design, *_simulate(config.model, design, design.a_n, rng))
 
 
-def _simulate(model: sim.ModelParams, refinement: int, b_n: int, r: float, rng):
-    """:func:`simulate_replication` for the replication whose generator is
-    ``rng``, or for a list of generators, one per replication: the path and
+def _simulate(model: sim.ModelParams, design: sim.SamplingDesign, a_n, rng):
+    """Latent path and counts on ``design``'s grid of the replication whose generator is
+    ``rng``, or of a list of generators with ``a_n`` one float per generator: the path and
     the counts then have a leading replication axis."""
-    a_n = float(b_n) ** r
-    design = sim.SamplingDesign(b_n=b_n, a_n=a_n, m=refinement, T=model.T)
     with np.errstate(over="ignore"):  # an overflow gives inf, which simulate_counts rejects
         path = sim.simulate_latent(model, design, rng)
         counts = sim.simulate_counts(sim.integrated_intensity(path, design), a_n, rng)
-    return design, path, counts
+    return path, counts
 
 
-def _latent_layer(config: ExperimentConfig, b_n: int, r: float, indices: range):
-    """Design, the count paths of the replications in ``indices`` stacked in index order,
-    and their ``(true_R, true_xi)``; the fine-grid work runs in sub-chunks of at most
+def _latent_layer(config: ExperimentConfig, b_n: int, r, indices: range):
+    """Design (the first r's, whose grid every r shares), the count paths of the replications
+    in ``indices`` for ``r``, one rate exponent or a tuple stacked ``r``-major, and their
+    ``(true_R, true_xi)``; the fine-grid work runs in sub-chunks of at most
     :data:`CHUNK_BYTES`, each replication's substream consumed as for it alone."""
-    size = max(1, min(CHUNK, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * config.refinement)))
+    rs = r if isinstance(r, tuple) else (r,)
+    rows = [(x, float(b_n) ** x, i) for x in rs for i in indices]
+    design = sim.SamplingDesign(b_n=b_n, a_n=rows[0][1], m=config.refinement, T=config.model.T)
+    size = max(1, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * config.refinement))
     y1, y2, truths = [], [], []
-    for part in (indices[k:k + size] for k in range(0, len(indices), size)):
-        rngs = [sim.replication_rng(config.seed, b_n, r, i) for i in part]
-        design, path, counts = _simulate(config.model, config.refinement, b_n, r, rngs)
+    for part in (rows[k:k + size] for k in range(0, len(rows), size)):
+        rngs = [sim.replication_rng(config.seed, b_n, x, i) for x, _, i in part]
+        path, counts = _simulate(config.model, design, [a_n for _, a_n, _ in part], rngs)
         y1.append(counts.y1)
         y2.append(counts.y2)
         truths += [(t.R, t.xi) for t in oracle.truth_record(path, config.model)]
@@ -231,7 +242,8 @@ def _frozen(cls, **fields):
 
 
 def _estimate_arrays(counts: sim.CountPath, a_n, delta_n, T, variants, overrides):
-    """``S`` and ``{variant: Gamma}`` of :func:`estimate_counts`, over any leading axes."""
+    """``S`` and ``{variant: Gamma}`` of :func:`estimate_counts`, over any leading axes; ``a_n``
+    is a float or one per row (:func:`estimators.tilde_series`)."""
     with np.errstate(over="ignore", invalid="ignore"):  # the tail flags an overflow's row
         tilde = estimators.tilde_series(counts, a_n, delta_n)
         return estimators.estimate_S(tilde), {
@@ -296,24 +308,27 @@ def estimate_counts(
     return row
 
 
-def _records(config: ExperimentConfig, b_n: int, r: float,
-             indices: range) -> list[ReplicationRecord]:
-    """The records of the replications in ``indices``: their latent layer, then ``S``,
-    every Gamma, ``C``, ``xi`` and the CIs of all of them in one stacked pass."""
+def _records(config: ExperimentConfig, b_n: int, rs: tuple[float, ...],
+             indices: range) -> list[list[ReplicationRecord]]:
+    """The records of the replications in ``indices``, one list per ``r`` of ``rs``: their
+    latent layer, then ``S``, every Gamma, ``C``, ``xi`` and the CIs of all of them in one
+    stacked pass, each row with its own ``a_n``."""
     model = config.model
     if model.sigma1 == 0.0 or model.sigma2 == 0.0:
         raise estimators.DegenerateDataError(
             "model has a zero volatility: true correlation targets are undefined")
-    design, counts, truths = _latent_layer(config, b_n, r, indices)
-    S, gammas = _estimate_arrays(counts, design.a_n, design.delta_n, model.T, config.variants,
+    design, counts, truths = _latent_layer(config, b_n, rs, indices)
+    a_n = [float(b_n) ** r for r in rs for _ in indices]
+    S, gammas = _estimate_arrays(counts, a_n, design.delta_n, model.T, config.variants,
                                  config.bandwidth_overrides)
     rows = _estimate_tail(S, gammas, b_n, model.T, config.ci_level)
+    keys = [(r, index) for r in rs for index in indices]
     records = []
-    for index, (true_R, true_xi), row in zip(indices, truths, rows):
+    for (r, index), (true_R, true_xi), row in zip(keys, truths, rows):
         C, results = (None, {}) if isinstance(row, estimators.DegenerateDataError) else row
         records.append(_frozen(ReplicationRecord, index=index, b_n=b_n, r=r, degenerate=C is None,
                                C=C, results=results, true_R=true_R, true_xi=true_xi))
-    return records
+    return [records[k:k + len(indices)] for k in range(0, len(records), len(indices))]
 
 
 def run_replication(
@@ -328,7 +343,7 @@ def run_replication(
     """
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
-    return _records(config, b_n, r, range(index, index + 1))[0]
+    return _records(config, b_n, (r,), range(index, index + 1))[0][0]
 
 
 def run_cell(
@@ -339,7 +354,7 @@ def run_cell(
     the first failing index raises its own error.
 
     A cell always runs in the calling process; the unit of parallel work is a
-    cell (:func:`run_mse_table`).  ``n_workers`` is accepted for symmetry with
+    column (:func:`run_mse_table`).  ``n_workers`` is accepted for symmetry with
     it and validated.
     """
     if n_workers < 0:
@@ -348,7 +363,7 @@ def run_cell(
     for start in range(0, config.replications, CHUNK):
         indices = range(start, min(start + CHUNK, config.replications))
         try:
-            records += _records(config, b_n, r, indices)
+            records += _records(config, b_n, (r,), indices)[0]
         except Exception:  # not swallowed: the index that fails raises it again
             records += [run_replication(config, b_n, r, i) for i in indices]
     return records
@@ -382,27 +397,36 @@ def run_mse_table(config: ExperimentConfig, n_workers: int = 1) -> list[MseRow]:
 
     Rows are ordered (r, b_n, variant) with r and b_n in config order.
     ``mse = mean((xi_hat - xi_true)^2)`` over non-degenerate replications,
-    aggregated in replication-index order.  ``n_workers`` caps the processes,
-    the caller included, that share the cells (0 = every usable core, 1 = all
-    in process; so is a table run while the process has another thread, as
-    the helpers serve one table at a time and a fork copies only the calling
+    aggregated in replication-index order.  The table runs column by column
+    (:func:`_column_rows`).  ``n_workers`` caps the processes, the caller
+    included, that share the columns (0 = every usable core, 1 = all in
+    process; so is a table run while the process has another thread, as the
+    helpers serve one table at a time and a fork copies only the calling
     thread).  The rows are bit-identical for any value (:func:`_run_shared`).
     """
     if n_workers < 0:
         raise ValueError("n_workers must be nonnegative")
     cells = [(r, b_n) for r in config.r for b_n in config.b_n]
     shared = n_workers != 1 and _CAN_FORK and threading.active_count() == 1
-    done = _run_shared(config, cells, n_workers) if shared else {}
+    done = _run_shared(config, n_workers if shared else 1)
     return [row for i, (r, b_n) in enumerate(cells)
-            for row in done.get(i) or _cell_rows(config, r, b_n)]
+            for row in done.get(i) or aggregate_cell(run_cell(config, b_n, r), config, b_n, r)]
 
 
-def _cell_rows(config: ExperimentConfig, r: float, b_n: int) -> list[MseRow]:
-    return aggregate_cell(run_cell(config, b_n, r), config, b_n, r)
+def _column_rows(config: ExperimentConfig, column: int) -> list[list[MseRow]]:
+    """The rows of each cell of a column, in ``r`` order: each chunk runs for every ``r`` at
+    once, and each cell's records are folded as :func:`run_cell`'s."""
+    b_n = config.b_n[column]
+    cells = [[] for _ in config.r]
+    for start in range(0, config.replications, CHUNK):
+        indices = range(start, min(start + CHUNK, config.replications))
+        for records, chunk in zip(cells, _records(config, b_n, config.r, indices)):
+            records += chunk
+    return [aggregate_cell(records, config, b_n, r) for r, records in zip(config.r, cells)]
 
 
-# A helper is an os.fork child, kept for later tables, that reads pickled (config, cells)
-# commands from a pipe and writes back the rows of each cell up to the first that raises.
+# A helper is an os.fork child, kept for later tables, that reads pickled (config, columns)
+# commands from a pipe and writes back the rows of each column up to the first that raises.
 # It ignores SIGINT and exits at the end of its command pipe, so when the caller exits.  A
 # call that fails to reach a helper, or is interrupted, kills every helper, so none is left
 # at work on its table.  A helper keeps the functions it was forked with: code that
@@ -413,41 +437,47 @@ _helpers: list = []  # (pid, command pipe, reply pipe) of each live helper
 
 def _shares(config: ExperimentConfig, n_workers: int) -> list[list[int]]:
     """Table positions of the cells each of k = min(``n_workers`` or the usable cores,
-    the usable cores, the cells) processes runs, the caller's first: largest ``b_n``
-    first, each to the least loaded, at a cost per replication of ``1024 + b_n *
-    refinement`` fine steps (fitted to cell times from ``b_n`` 16 to 1024)."""
-    sizes = [b_n for _ in config.r for b_n in config.b_n]
-    usable = len(os.sched_getaffinity(0))
-    loads = [0] * min(n_workers or usable, usable, len(sizes))
+    the usable cores, the columns) processes runs, the caller's first, column by column:
+    largest ``b_n`` first, each to the least loaded, at a cost per replication and r of
+    ``1024 + b_n * refinement`` fine steps (fitted to cell times from ``b_n`` 16 to 1024)."""
+    n_b = len(config.b_n)
+    usable = len(os.sched_getaffinity(0)) if n_workers != 1 else 1
+    loads = [0] * min(n_workers or usable, usable, n_b)
     shares: list[list[int]] = [[] for _ in loads]
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+    for column in sorted(range(n_b), key=lambda c: -config.b_n[c]):
         k = loads.index(min(loads))
-        shares[k].append(i)
-        loads[k] += 1024 + sizes[i] * config.refinement
-    return [sorted(share) for share in shares]
+        shares[k].append(column)
+        loads[k] += len(config.r) * (1024 + config.b_n[column] * config.refinement)
+    return [[k * n_b + column for column in sorted(share) for k in range(len(config.r))]
+            for share in shares]
 
 
-def _run_shared(config: ExperimentConfig, cells: list, n_workers: int) -> dict:
-    """``{position: rows}`` of the cells that ran without error, the caller's share in
-    process and each other on a helper.  :func:`run_mse_table` reruns any other cell in
-    process in table order, so an error raised is the serial loop's."""
-    own, *others = _shares(config, n_workers)
+def _run_shared(config: ExperimentConfig, n_workers: int) -> dict:
+    """``{position: rows}`` of the cells whose columns ran without error, the caller's share
+    in process and each other on a helper.  :func:`run_mse_table` reruns any other cell
+    in process in table order, so an error raised is the serial loop's."""
+    n_b = len(config.b_n)
+    own, *others = ([*dict.fromkeys(i % n_b for i in share)]
+                    for share in _shares(config, n_workers))
     done = {}
     try:
         while len(_helpers) < len(others):
             _helpers.append(_start_helper())
         for (_, commands, _), share in zip(_helpers, others):
-            pickle.dump((config, [cells[i] for i in share]), commands, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((config, share), commands, pickle.HIGHEST_PROTOCOL)
             commands.flush()
-        for i in own:
+        for column in own:
             try:
-                done[i] = _cell_rows(config, *cells[i])
+                rows = _column_rows(config, column)
             except Exception:
                 break
+            done.update((k * n_b + column, cell) for k, cell in enumerate(rows))
         for (_, _, replies), share in zip(_helpers, others):
-            for i, rows in zip(share, pickle.load(replies)):
+            for column, rows in zip(share, pickle.load(replies)):
                 # with the caller's r and b_n objects, as in rows run here: no float of their own
-                done[i] = [replace(row, r=cells[i][0], b_n=cells[i][1]) for row in rows]
+                for k, (r, cell) in enumerate(zip(config.r, rows)):
+                    done[k * n_b + column] = [replace(row, r=r, b_n=config.b_n[column])
+                                              for row in cell]
     except (OSError, EOFError, pickle.UnpicklingError):  # no fork or pipe, or a helper died
         _stop_helpers()
     except BaseException:  # Ctrl-C or a fault: a helper left at work would hold up the next call
@@ -476,11 +506,11 @@ def _start_helper() -> tuple:
         os.close(rep_r)
         commands, replies = open(cmd_r, "rb"), open(rep_w, "wb")
         while True:  # until EOFError at the end of the commands
-            config, cells = pickle.load(commands)
+            config, columns = pickle.load(commands)
             rows = []
-            with contextlib.suppress(Exception):  # the caller reruns the cell, which raises it
-                for r, b_n in cells:
-                    rows.append(_cell_rows(config, r, b_n))
+            with contextlib.suppress(Exception):  # the caller reruns the cells, which raises it
+                for column in columns:
+                    rows.append(_column_rows(config, column))
             pickle.dump(rows, replies, pickle.HIGHEST_PROTOCOL)
             replies.flush()
     finally:

@@ -262,7 +262,7 @@ def integrated_intensity(path: LatentPath, design: SamplingDesign) -> tuple[np.n
 
 
 def simulate_counts(
-    intensities: tuple[np.ndarray, np.ndarray], a_n: float,
+    intensities: tuple[np.ndarray, np.ndarray], a_n: float | list[float],
     rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> CountPath:
     """Draw the count path given the integrated intensities.
@@ -276,8 +276,9 @@ def simulate_counts(
     ----------
     intensities : (lam1, lam2)
         Per-interval integrals from :func:`integrated_intensity`.
-    a_n : float
-        Intensity scale, > 0.
+    a_n : float, or a list of R floats
+        Intensity scale, > 0; a list gives each leading row of
+        ``intensities`` its own.
     rng : numpy.random.Generator, or a sequence of R of them
         Each consumes exactly one ``(2, b_n)`` block of Poisson draws.  A
         sequence draws R count paths, one per leading row of
@@ -288,7 +289,8 @@ def simulate_counts(
     CountPath
     """
     lam1, lam2 = intensities
-    if a_n <= 0:
+    a_n = np.array(a_n)[:, None] if isinstance(a_n, list) else a_n
+    if (np.asarray(a_n) <= 0).any():
         raise ValueError("a_n must be positive")
     means = np.empty(lam1.shape[:-1] + (2, lam1.shape[-1]))  # (..., 2, b_n)
     np.multiply(lam1, a_n, out=means[..., 0, :])

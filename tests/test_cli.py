@@ -838,3 +838,36 @@ def test_a_repeated_or_extra_variant_exits_2_naming_it(tmp_path, capsys, argv, e
     assert cli.main(argv(tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == err
+
+
+@pytest.mark.parametrize("command", ["simulate", "mse-table"])
+@pytest.mark.parametrize("key, value, steps", [("b_n", [10**12], "1000000000000 * 4"),
+                                               ("refinement", 10**14, "8 * 100000000000000")])
+def test_work_above_the_fine_step_cap_exits_2_naming_the_keys(tmp_path, capsys, command, key,
+                                                              value, steps):
+    # each used to end in numpy's traceback for an array of several PiB
+    cfg = write_config(tmp_path, **{key: value})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: b_n * refinement = {steps} fine steps is above the cap "
+                            f"of {harness.MAX_FINE_STEPS}\n")
+
+
+@pytest.mark.parametrize("argv, b_n", [(["simulate"], [16]),
+                                       (["mse-table", "--threads", "1"], [16, 32]),
+                                       (["mse-table", "--threads", "2"], [16, 32])])
+def test_a_grid_the_host_cannot_hold_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                                 argv, b_n):
+    # with the cap lifted, numpy refuses the latent normals' 23 PiB before allocating any
+    monkeypatch.setattr(harness, "MAX_FINE_STEPS", math.inf)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = write_config(tmp_path, b_n=b_n, refinement=10**14)
+    harness._stop_helpers()  # a helper must be forked with the lifted cap, and not outlive it
+    try:
+        code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    finally:
+        harness._stop_helpers()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1

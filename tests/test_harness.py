@@ -100,14 +100,14 @@ class TestMseTable:
     def test_stubbed_estimator_gives_zero_mse(self, study_model, monkeypatch):
         ci = est.confidence_interval(0.5, 0.0, 16, 1.0)
 
-        def stub(config, b_n, r, n_workers=1):
+        def stub(config, b_n, rs, indices):  # the stacked pass every table runs
             results = {v: harness.VariantResult(xi=1.23, clamped=False, ci=ci)
                        for v in config.variants}
-            return [harness.ReplicationRecord(index=index, b_n=b_n, r=r, degenerate=False,
-                                              C=0.5, results=results, true_R=0.5, true_xi=1.23)
-                    for index in range(config.replications)]
+            return [[harness.ReplicationRecord(index=index, b_n=b_n, r=r, degenerate=False,
+                                               C=0.5, results=results, true_R=0.5, true_xi=1.23)
+                     for index in indices] for r in rs]
 
-        monkeypatch.setattr(harness, "run_cell", stub)
+        monkeypatch.setattr(harness, "_records", stub)
         cfg = small_config(study_model, replications=1)
         rows = harness.run_mse_table(cfg)
         assert all(row.mse == 0.0 for row in rows)

@@ -1,4 +1,4 @@
-"""A table's cells shared between the calling process and forked helpers.
+"""A table's columns (one b_n, every r) shared between the calling process and forked helpers.
 
 Tests that need helpers pretend the process may use several cores, so they
 start helpers on any machine, and stop every helper before and after, so no
@@ -92,8 +92,53 @@ def test_planned_processes_are_capped_without_starting_any(study_model, cores):
         assert len(shares) == k
         assert sorted(i for share in shares for i in share) == list(range(12))
     assert len(harness._shares(config(study_model, b_n=(16,)), 100000)) == 1
-    # the largest cells go first, so each process gets one b_n = 512 cell
-    assert [sum(i % 6 == 5 for i in share) for share in harness._shares(cfg, 2)] == [1, 1]
+    # a column (one b_n, every r) runs in one process, and the largest goes first: both
+    # b_n = 512 cells are the caller's
+    assert [sum(i % 6 == 5 for i in share) for share in harness._shares(cfg, 2)] == [2, 0]
+
+
+def _cell_by_cell(cfg):
+    """The rows of the serial loop: every cell on its own, in table order."""
+    return [row for r in cfg.r for b_n in cfg.b_n
+            for row in harness.aggregate_cell(harness.run_cell(cfg, b_n, r), cfg, b_n, r)]
+
+
+@pytest.mark.parametrize("grid", [
+    # r = 0 leaves some replications of a column degenerate, r = -5 every one
+    dict(b_n=(16, 64), r=(3.0, 0.0, -5.0), replications=10, seed=3),
+    # at b_n 256 a column's chunk of 8 indices x 2 r runs in 8 fine-grid sub-chunks of 2 rows,
+    # and the last chunk of 3 indices in 3, the middle one holding a row of each r
+    dict(b_n=(256, 512), r=(2.0, 3.5), replications=11),
+    dict(b_n=(32, 16, 32), r=(2.5, 3.0), replications=9),  # a repeated b_n: two columns
+    dict(b_n=(16, 64), r=(3.5, 2.0), variants=("n", "w"), bandwidth_overrides={"w": 0.4}),
+], ids=["degenerate-rows", "sub-chunks", "repeated-b_n", "overrides-and-variants"])
+def test_stacked_columns_give_the_rows_of_each_cell_alone(study_model, cores, fresh_helpers,
+                                                          grid):
+    cfg = config(study_model, **{"variants": harness.VARIANTS, **grid})
+    cores(3)
+    base = _cell_by_cell(cfg)
+    if 0.0 in cfg.r:
+        assert [row.degenerate_count for row in base[::len(cfg.variants)]] == [0, 0, 6, 2, 10, 10]
+    for n_workers in (1, 2, 3):
+        assert repr(harness.run_mse_table(cfg, n_workers=n_workers)) == repr(base), n_workers
+
+
+def test_a_column_with_an_overflowing_r_raises_the_serial_error(study_model, cores,
+                                                                fresh_helpers):
+    # with x1_0 = 4e20 the counts of r = 3 pass the int64 range at every b_n, those of
+    # r = -1 (a_n = 1/b_n) only below b_n 64: every column stacks a failing r
+    model = dataclasses.replace(study_model, x1_0=4e20)
+    cfg = config(model, b_n=(128, 16, 256), r=(3.0, -1.0), replications=4)
+    assert 0 in harness._shares(cfg, 2)[1]  # the first failing cell is in the helper's column
+    with pytest.raises(ValueError) as serial:
+        _cell_by_cell(cfg)
+    assert "64-bit range" in str(serial.value)
+    for n_workers in (1, 2):
+        with pytest.raises(ValueError) as stacked:
+            harness.run_mse_table(cfg, n_workers=n_workers)
+        assert (type(stacked.value), str(stacked.value)) == (type(serial.value), str(serial.value))
+    ok = dataclasses.replace(cfg, b_n=(128, 256), r=(-1.0,))
+    assert repr(harness.run_mse_table(ok, n_workers=2)) == repr(_cell_by_cell(ok))
 
 
 def test_planning_alone_starts_no_helper(study_model, cores, fresh_helpers):
@@ -175,13 +220,13 @@ def test_an_interrupted_call_kills_its_helpers(study_model, monkeypatch, cores, 
     harness.run_mse_table(small, n_workers=2)
     (pid,) = helper_pids()
 
-    def interrupt(config, r, b_n):
+    def interrupt(config, column):
         raise KeyboardInterrupt
 
     # the helper's share would take minutes; the caller's is interrupted at once
     busy = config(study_model, b_n=(2048, 2048), replications=5000)
     with monkeypatch.context() as patch:  # in this process only: the helper already runs
-        patch.setattr(harness, "_cell_rows", interrupt)
+        patch.setattr(harness, "_column_rows", interrupt)
         with pytest.raises(KeyboardInterrupt):
             harness.run_mse_table(busy, n_workers=2)
     assert helper_pids() == [] and not _running(pid)
