@@ -34,7 +34,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .sim import CountPath
+from .sim import CountPath, _integer_at_least
 
 __all__ = [
     "PAIRS",
@@ -450,22 +450,26 @@ def confidence_interval(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    if b_n < 2:
-        raise ValueError("b_n must be at least 2")
+    _integer_at_least(b_n, 2, "b_n")
     if not math.isfinite(C):
         raise ValueError(f"C must be finite, got {C!r}")
     xi_val = xi.xi if isinstance(xi, XiValue) else float(xi)
     if not 0.0 <= xi_val < math.inf:
         raise ValueError(f"xi must be nonnegative and finite, got {xi_val!r}")
     _positive_T(T)
-    half = _normal_quantile(level) * math.sqrt(xi_val * T / b_n)
+    return _interval(C, _normal_quantile(level) * math.sqrt(xi_val * T / b_n), level)
+
+
+def _frozen(cls, **fields):
+    """``cls(**fields)`` of a frozen dataclass with no ``__post_init__``, minus its setattrs."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _interval(C: float, half: float, level: float) -> ConfidenceInterval:
+    """The interval ``C -+ half`` of :func:`confidence_interval`, raw and clipped to [-1, 1]."""
     lo_raw, hi_raw = C - half, C + half
-    return ConfidenceInterval(
-        lo_raw=lo_raw,
-        hi_raw=hi_raw,
-        lo=max(lo_raw, -1.0),
-        hi=min(hi_raw, 1.0),
-        lo_clamped=lo_raw < -1.0,
-        hi_clamped=hi_raw > 1.0,
-        level=level,
-    )
+    return _frozen(ConfidenceInterval, lo_raw=lo_raw, hi_raw=hi_raw, lo=max(lo_raw, -1.0),
+                   hi=min(hi_raw, 1.0), lo_clamped=lo_raw < -1.0, hi_clamped=hi_raw > 1.0,
+                   level=level)

@@ -4,14 +4,15 @@ A grid cell is one (b_n, r) pair with ``a_n = b_n**r``; a column is one
 position of the config's ``b_n`` with every ``r``.  Every replication owns an
 RNG substream derived from ``(seed, b_n, r, index)``, simulates one latent
 path and one count path (:func:`simulate_replication`), estimates C and every
-requested xi and CI from the counts (:func:`estimate_counts`, which the CLI
-also calls), and computes the path-wise truth.  A table runs column by column
-in chunks of :data:`CHUNK` indices stacked over every ``r``, ``r``-major: the
-latent layer (paths, counts, truth) in sub-chunks that bound its memory, each
-substream consumed as for one replication alone, then ``S``, every Gamma,
-``C``, ``xi`` and the CIs of the stack in one pass, one ``a_n`` per row.
-:func:`run_cell` is its one-``r`` case and :func:`run_replication` the chunk
-of one replication.  Cell aggregation is a fixed-order fold over replication
+requested xi and CI from the counts with the bits of :func:`estimate_counts`
+(the scalar chain, which the CLI calls), and computes the path-wise truth.  A
+table runs column by column in chunks of :data:`CHUNK` indices stacked over
+every ``r``, ``r``-major: the latent layer (paths, counts, truth) in sub-chunks
+that bound its memory, each substream consumed as for one replication alone,
+then ``S``, every Gamma, ``C``, ``xi`` and the CIs of the stack in one pass of
+numpy columns (:func:`_estimate_tail`), one ``a_n`` per row.  :func:`run_cell`
+is its one-``r`` case and :func:`run_replication` the chunk of one
+replication.  Cell aggregation is a fixed-order fold over replication
 indices.  :func:`run_mse_table` may share a table's columns out to forked
 helper processes; no row depends on where, or beside which ``r``, it ran.
 """
@@ -85,17 +86,14 @@ class ExperimentConfig:
     bandwidth_overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "b_n", tuple(int(b) for b in self.b_n))
+        object.__setattr__(self, "b_n", tuple(sim._integer_at_least(b, 4, "every b_n")
+                                              for b in self.b_n))
         object.__setattr__(self, "r", tuple(float(x) for x in self.r))
         object.__setattr__(self, "variants", tuple(self.variants))
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        sim._integer_at_least(self.seed, 0, "seed")
+        sim._integer_at_least(self.replications, 1, "replications")
         if not self.b_n:
             raise ValueError("b_n list must be nonempty")
-        if any(b < 4 for b in self.b_n):
-            raise ValueError("every b_n must be at least 4")
         if not self.r:
             raise ValueError("r list must be nonempty")
         for b_n, r in itertools.product(self.b_n, self.r):
@@ -111,8 +109,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown variants: {unknown}")
         _reject_repeats(self.variants)
-        if self.refinement < 1:
-            raise ValueError("refinement must be at least 1")
+        sim._integer_at_least(self.refinement, 1, "refinement")
         if max(self.b_n) * self.refinement > MAX_FINE_STEPS:
             raise ValueError(f"b_n * refinement = {max(self.b_n)} * {self.refinement} fine steps "
                              f"is above the cap of {MAX_FINE_STEPS}")
@@ -215,30 +212,23 @@ def _simulate(model: sim.ModelParams, design: sim.SamplingDesign, a_n, rng):
     return path, counts
 
 
-def _latent_layer(config: ExperimentConfig, b_n: int, r, indices: range):
+def _latent_layer(config: ExperimentConfig, b_n: int, rs: tuple[float, ...], indices: range,
+                  a_n: list[float]):
     """Design (the first r's, whose grid every r shares), the count paths of the replications
-    in ``indices`` for ``r``, one rate exponent or a tuple stacked ``r``-major, and their
-    ``(true_R, true_xi)``; the fine-grid work runs in sub-chunks of at most
+    in ``indices`` for each ``r`` of ``rs``, stacked ``r``-major with ``a_n`` one per row, and
+    their ``(true_R, true_xi)``; the fine-grid work runs in sub-chunks of at most
     :data:`CHUNK_BYTES`, each replication's substream consumed as for it alone."""
-    rs = r if isinstance(r, tuple) else (r,)
-    rows = [(x, float(b_n) ** x, i) for x in rs for i in indices]
-    design = sim.SamplingDesign(b_n=b_n, a_n=rows[0][1], m=config.refinement, T=config.model.T)
+    keys = list(itertools.product(rs, indices))
+    design = sim.SamplingDesign(b_n=b_n, a_n=a_n[0], m=config.refinement, T=config.model.T)
     size = max(1, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * config.refinement))
     y1, y2, truths = [], [], []
-    for part in (rows[k:k + size] for k in range(0, len(rows), size)):
-        rngs = [sim.replication_rng(config.seed, b_n, x, i) for x, _, i in part]
-        path, counts = _simulate(config.model, design, [a_n for _, a_n, _ in part], rngs)
+    for k in range(0, len(keys), size):
+        rngs = [sim.replication_rng(config.seed, b_n, r, i) for r, i in keys[k:k + size]]
+        path, counts = _simulate(config.model, design, a_n[k:k + size], rngs)
         y1.append(counts.y1)
         y2.append(counts.y2)
         truths += [(t.R, t.xi) for t in oracle.truth_record(path, config.model)]
     return design, sim.CountPath(y1=np.concatenate(y1), y2=np.concatenate(y2)), truths
-
-
-def _frozen(cls, **fields):
-    """``cls(**fields)`` of a frozen dataclass with no ``__post_init__``, minus its setattrs."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _estimate_arrays(counts: sim.CountPath, a_n, delta_n, T, variants, overrides):
@@ -251,37 +241,18 @@ def _estimate_arrays(counts: sim.CountPath, a_n, delta_n, T, variants, overrides
 
 
 def _estimate_tail(S, gammas, b_n: int, T: float, level: float):
-    """Per row of :func:`_estimate_arrays`' output, flattened, yield ``(C, {variant:
-    VariantResult})`` or the DegenerateDataError of the scalar chain estimate_correlation ->
-    estimate_xi -> confidence_interval, with its bits (``xi`` from :func:`estimators.xi_forms`)."""
-    sums = np.stack([S.s12, S.s11, S.s22], axis=-1).reshape(-1, 3).tolist()
+    """Columns of the scalar chain estimate_correlation -> estimate_xi -> confidence_interval
+    over the R rows of :func:`_estimate_arrays`' output, with its bits: ``C`` (R,) clipped to
+    [-1, 1], each variant's ``v'Gv`` (:func:`estimators.xi_forms`) and CI half-width (V, R),
+    and the mask (R,) of the rows on which the chain raises."""
+    sums = np.stack([S.s12, S.s11, S.s22], axis=-1).reshape(-1, 3)
     G = np.reshape([g.values for g in gammas.values()], (len(gammas), len(sums), 3, 3))
-    forms, errors = estimators.xi_forms(sums, G)
-    z = estimators._normal_quantile(level)
-    for (s12, s11, s22), raws, error in zip(sums, forms.T.tolist(), errors):
-        denom2 = s11 * s22
-        C = math.nan if denom2 <= 0.0 else s12 / math.sqrt(denom2)
-        bad = [raw for raw in raws if not math.isfinite(raw)]
-        if denom2 <= 0.0:
-            error = estimators.DegenerateDataError("S11*S22 = 0: correlation undefined")
-        elif not math.isfinite(C):
-            error = estimators.DegenerateDataError(f"correlation is not finite: C = {C}")
-        elif bad and not error:
-            error = estimators.DegenerateDataError(f"asymptotic variance is not finite: v'Gv = {bad[0]}")
-        if error:
-            yield error
-            continue
-        C = min(1.0, max(-1.0, C))
-        results = {}
-        for variant, raw in zip(gammas, raws):
-            xi = max(raw, 0.0)
-            half = z * math.sqrt(xi * T / b_n)
-            lo_raw, hi_raw = C - half, C + half
-            ci = _frozen(estimators.ConfidenceInterval, lo_raw=lo_raw, hi_raw=hi_raw,
-                         lo=max(lo_raw, -1.0), hi=min(hi_raw, 1.0), lo_clamped=lo_raw < -1.0,
-                         hi_clamped=hi_raw > 1.0, level=level)
-            results[variant] = _frozen(VariantResult, xi=xi, clamped=raw < 0.0, ci=ci)
-        yield C, results
+    raw, errors = estimators.xi_forms(sums.tolist(), G)
+    with np.errstate(all="ignore"):  # the mask holds each row whose C or v'Gv is not finite
+        C = sums[:, 0] / np.sqrt(sums[:, 1] * sums[:, 2])
+        half = estimators._normal_quantile(level) * np.sqrt(np.maximum(raw, 0.0) * T / b_n)
+    mask = ~np.isfinite(C) | [e is not None for e in errors] | ~np.isfinite(raw).all(axis=0)
+    return np.clip(C, -1.0, 1.0), raw, half, mask
 
 
 def estimate_counts(
@@ -289,7 +260,8 @@ def estimate_counts(
     variants: tuple[str, ...] | list[str], level: float,
     bandwidth_overrides: dict[str, float] | None = None,
 ) -> tuple[float, dict[str, VariantResult]]:
-    """Correlation estimate ``C`` and, per variant, ``xi`` and its CI.
+    """Correlation estimate ``C`` and, per variant, ``xi`` and its CI, from the scalar chain
+    estimate_correlation -> estimate_xi -> confidence_interval.
 
     Raises ``estimators.DegenerateDataError`` if S11*S22 = 0, or if C, S or an
     xi is not finite (finite counts and scales whose products overflow), and
@@ -302,10 +274,11 @@ def estimate_counts(
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     S, gammas = _estimate_arrays(counts, a_n, delta_n, T, variants, bandwidth_overrides)
-    (row,) = _estimate_tail(S, gammas, counts.b_n, T, level)
-    if isinstance(row, estimators.DegenerateDataError):
-        raise row
-    return row
+    with np.errstate(over="ignore", invalid="ignore"):  # estimate_xi raises on a non-finite v'Gv
+        C = estimators.estimate_correlation(S)
+        xis = {v: estimators.estimate_xi(S, G) for v, G in gammas.items()}
+    return C, {v: VariantResult(xi=xi.xi, clamped=xi.clamped, ci=estimators.confidence_interval(
+        C, xi, counts.b_n, T, level)) for v, xi in xis.items()}
 
 
 def _records(config: ExperimentConfig, b_n: int, rs: tuple[float, ...],
@@ -317,17 +290,22 @@ def _records(config: ExperimentConfig, b_n: int, rs: tuple[float, ...],
     if model.sigma1 == 0.0 or model.sigma2 == 0.0:
         raise estimators.DegenerateDataError(
             "model has a zero volatility: true correlation targets are undefined")
-    design, counts, truths = _latent_layer(config, b_n, rs, indices)
     a_n = [float(b_n) ** r for r in rs for _ in indices]
+    design, counts, truths = _latent_layer(config, b_n, rs, indices, a_n)
     S, gammas = _estimate_arrays(counts, a_n, design.delta_n, model.T, config.variants,
                                  config.bandwidth_overrides)
-    rows = _estimate_tail(S, gammas, b_n, model.T, config.ci_level)
-    keys = [(r, index) for r in rs for index in indices]
+    C, raw, half, mask = _estimate_tail(S, gammas, b_n, model.T, config.ci_level)
     records = []
-    for (r, index), (true_R, true_xi), row in zip(keys, truths, rows):
-        C, results = (None, {}) if isinstance(row, estimators.DegenerateDataError) else row
-        records.append(_frozen(ReplicationRecord, index=index, b_n=b_n, r=r, degenerate=C is None,
-                               C=C, results=results, true_R=true_R, true_xi=true_xi))
+    for (r, index), (true_R, true_xi), c, raws, halves, dead in zip(
+            itertools.product(rs, indices), truths, C.tolist(), raw.T.tolist(), half.T.tolist(),
+            mask.tolist()):
+        results = {} if dead else {
+            v: estimators._frozen(VariantResult, xi=max(x, 0.0), clamped=x < 0.0,
+                                  ci=estimators._interval(c, h, config.ci_level))
+            for v, x, h in zip(gammas, raws, halves)}
+        records.append(estimators._frozen(
+            ReplicationRecord, index=index, b_n=b_n, r=r, degenerate=dead, C=None if dead else c,
+            results=results, true_R=true_R, true_xi=true_xi))
     return [records[k:k + len(indices)] for k in range(0, len(records), len(indices))]
 
 

@@ -14,6 +14,7 @@ lives on a finer grid with ``m`` subintervals per observation interval.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
@@ -36,6 +37,14 @@ __all__ = [
 # last int64 count, which a total below 9e18 keeps 2e17 from overflowing, and
 # numpy's Generator.poisson rejects any one mean above ~9.22e18.
 _POISSON_MEAN_MAX = 9.0e18
+
+
+def _integer_at_least(value, least: int, name: str) -> int:
+    """``value`` as an int if it is an integer (not a bool) of at least ``least``, else a
+    ValueError that starts with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,10 @@ class SamplingDesign:
     T: float = 1.0
 
     def __post_init__(self):
-        if self.b_n < 4:
-            raise ValueError("b_n must be at least 4")
+        _integer_at_least(self.b_n, 4, "b_n")
         if not (self.a_n > 0 and math.isfinite(self.a_n)):
             raise ValueError("a_n must be positive and finite")
-        if self.m < 1:
-            raise ValueError("refinement m must be at least 1")
+        _integer_at_least(self.m, 1, "refinement m")
         if not (self.T > 0 and math.isfinite(self.T)):
             raise ValueError("horizon T must be positive and finite")
 
@@ -317,8 +324,7 @@ def validate_regime(b_n: int, a_n: float) -> RegimeReport:
     conditions are statements about limits, so boundary values count as not
     satisfied.
     """
-    if not 4 <= b_n < math.inf:
-        raise ValueError(f"b_n must be finite and at least 4, got {b_n!r}")
+    _integer_at_least(b_n, 4, "b_n")
     if not 0 < a_n < math.inf:
         raise ValueError(f"a_n must be positive and finite, got {a_n!r}")
     r = math.log(a_n) / math.log(b_n)

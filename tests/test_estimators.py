@@ -305,6 +305,12 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             est.confidence_interval(0.5, 0.1, 16, 1.0, level=0.0)
 
+    @pytest.mark.parametrize("b_n", [math.nan, math.inf, 16.5, 1])
+    def test_rejects_a_b_n_that_is_not_an_integer_of_at_least_2(self, b_n):
+        # not NaN ends for a NaN b_n, nor a zero-width interval for an infinite one
+        with pytest.raises(ValueError, match="^b_n must be an integer of at least 2"):
+            est.confidence_interval(0.5, 0.1, b_n, 1.0)
+
 
 # ---------------------------------------------------------------------------
 # Properties

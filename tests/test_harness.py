@@ -42,6 +42,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(study_model, replications=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("b_n", (16.7,)), ("b_n", (16.0,)), ("b_n", (math.nan,)), ("b_n", (True, 16)),
+        ("replications", 2.5), ("refinement", 2.5), ("seed", 1.5), ("seed", math.inf)])
+    def test_rejects_a_grid_size_that_is_not_an_integer_naming_it(self, study_model, field,
+                                                                  value):
+        # before any work, neither truncated nor as a TypeError in the run
+        with pytest.raises(ValueError, match=rf"^(every )?{field} must be an integer"):
+            small_config(study_model, **{field: value})
+
+    def test_accepts_numpy_integers_as_python_ints(self, study_model):
+        cfg = small_config(study_model, b_n=(np.int64(16),), replications=np.int32(2))
+        assert cfg.b_n == (16,) and type(cfg.b_n[0]) is int
+
 
 class TestRunReplication:
     def test_deterministic(self, study_model):
@@ -315,7 +328,7 @@ def test_run_cell_equals_single_replications_in_reverse_order(study_model, repli
 
 def test_simulate_replication_gives_the_counts_of_the_chunk(study_model):
     cfg = small_config(study_model, replications=11)
-    design, counts, _ = harness._latent_layer(cfg, 16, 3.0, range(8, 11))
+    design, counts, _ = harness._latent_layer(cfg, 16, (3.0,), range(8, 11), [16.0 ** 3.0] * 3)
     for i, y1, y2 in zip(range(8, 11), counts.y1, counts.y2):
         alone_design, _, alone = harness.simulate_replication(cfg, 16, 3.0, i)
         assert alone_design == design
@@ -420,9 +433,21 @@ def _chain(S, gammas, b_n, T, level):
                for v, xi in xis.items()}
 
 
+def _tail_rows(S, gammas, b_n, T, level):
+    """``(C, {variant: VariantResult})`` of each row of :func:`harness._estimate_tail`'s
+    columns, as :func:`harness._records` builds them, or None where the mask is set."""
+    C, raw, half, mask = harness._estimate_tail(S, gammas, b_n, T, level)
+    assert C.shape == mask.shape == (raw.shape[1],) and raw.shape == half.shape
+    return [None if dead else (c, {v: harness.VariantResult(
+        xi=max(x, 0.0), clamped=x < 0.0, ci=est._interval(c, h, level))
+        for v, x, h in zip(gammas, raws, halves)})
+        for c, raws, halves, dead in zip(C.tolist(), raw.T.tolist(), half.T.tolist(),
+                                         mask.tolist())]
+
+
 def _assert_same_outcome(got, want):
     if isinstance(want, str):
-        assert isinstance(got, est.DegenerateDataError) and str(got) == want
+        assert got is None
     else:
         assert got == want
         assert _record_hexes(*got) == _record_hexes(*want)
@@ -445,14 +470,13 @@ def test_batched_tail_equals_the_scalar_chain_row_by_row(rng):
     G[0, 6] = np.diag([-0.2, 1.0, 1.0])
     S = est.CovEstimate(*np.array(sums).T)
     gammas = {v: est.GammaMatrix(values=G[k]) for k, v in enumerate(harness.VARIANTS)}
-    rows = list(harness._estimate_tail(S, gammas, 16, 2.0, 0.9))
+    rows = _tail_rows(S, gammas, 16, 2.0, 0.9)
     assert len(rows) == R
     for i, (s, got) in enumerate(zip(sums, rows)):
         want = _chain(est.CovEstimate(*s), {v: est.GammaMatrix(values=G[k, i])
                                             for k, v in enumerate(harness.VARIANTS)}, 16, 2.0, 0.9)
         _assert_same_outcome(got, want)
-    outcomes = ["D" if isinstance(row, Exception) else "." for row in rows]
-    assert "".join(outcomes) == ".DDDDD..."
+    assert "".join("D" if row is None else "." for row in rows) == ".DDDDD..."
     assert rows[6][1]["1"].clamped and rows[6][1]["1"].xi == 0.0
     assert rows[7][0] == 1.0
 
@@ -463,7 +487,7 @@ def _count_path(inc1, inc2):
     return sim.CountPath(y1=y[0], y2=y[1])
 
 
-def test_estimate_counts_fails_as_the_scalar_chain_for_each_reason():
+def test_one_row_tail_masks_each_reason_the_scalar_chain_fails():
     cases = [  # (counts, a_n, delta_n, T), one per degenerate reason, then live ones
         (_count_path([0] * 8, [3] * 8), 1.0, 0.125, 1.0),
         (_count_path([0, 2**56] * 4, [0, 2**56] * 4), 1e-300, 1.0, 1.0),  # S is NaN
@@ -478,10 +502,9 @@ def test_estimate_counts_fails_as_the_scalar_chain_for_each_reason():
             tilde = est.tilde_series(counts, a_n, delta_n)
             want = _chain(est.estimate_S(tilde), {v: harness.gamma_for_variant(tilde, T, v)
                                                   for v in harness.VARIANTS}, counts.b_n, T, 0.95)
-        try:
-            got = harness.estimate_counts(counts, a_n, delta_n, T, harness.VARIANTS, 0.95)
-        except est.DegenerateDataError as exc:
-            got = exc
+        one_row = sim.CountPath(y1=counts.y1[None], y2=counts.y2[None])
+        S, gammas = harness._estimate_arrays(one_row, [a_n], delta_n, T, harness.VARIANTS, None)
+        (got,) = _tail_rows(S, gammas, counts.b_n, T, 0.95)
         _assert_same_outcome(got, want)
         messages.append(want if isinstance(want, str) else "live")
     assert [m.split(":")[0] for m in messages] == [

@@ -256,9 +256,17 @@ def test_design_rejects_non_finite(field, value):
         sim.SamplingDesign(**kwargs)
 
 
+@pytest.mark.parametrize("field, value", [("b_n", math.nan), ("b_n", 16.5), ("b_n", 16.0),
+                                          ("m", 2.5)])
+def test_design_rejects_a_grid_size_that_is_not_an_integer(field, value):
+    # here, not as a TypeError in simulate_latent
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        sim.SamplingDesign(**{"b_n": 8, "a_n": 10.0, field: value})
+
+
 @pytest.mark.parametrize("b_n, a_n, name", [
     (16, math.nan, "a_n"), (16, math.inf, "a_n"), (16, -math.inf, "a_n"),
-    (math.nan, 100.0, "b_n"), (math.inf, 100.0, "b_n"),
+    (math.nan, 100.0, "b_n"), (math.inf, 100.0, "b_n"), (16.5, 100.0, "b_n"),
 ])
 def test_validate_regime_rejects_non_finite_inputs(b_n, a_n, name):
     # a NaN a_n used to report r = nan, and an infinite one met both conditions
