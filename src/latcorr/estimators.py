@@ -186,6 +186,7 @@ class BandwidthSpec:
 
     def resolve(self, b_n: int, T: float) -> tuple[float, int]:
         """Return ``(h, n_h)`` for a given grid."""
+        _integer_at_least(b_n, 2, "b_n")
         h = self.h if self.h is not None else T * float(b_n) ** (-self.exponent)
         if not 0.0 < h <= T:
             raise ValueError(f"bandwidth h={h} outside (0, T]")
@@ -460,16 +461,9 @@ def confidence_interval(
     return _interval(C, _normal_quantile(level) * math.sqrt(xi_val * T / b_n), level)
 
 
-def _frozen(cls, **fields):
-    """``cls(**fields)`` of a frozen dataclass with no ``__post_init__``, minus its setattrs."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def _interval(C: float, half: float, level: float) -> ConfidenceInterval:
     """The interval ``C -+ half`` of :func:`confidence_interval`, raw and clipped to [-1, 1]."""
     lo_raw, hi_raw = C - half, C + half
-    return _frozen(ConfidenceInterval, lo_raw=lo_raw, hi_raw=hi_raw, lo=max(lo_raw, -1.0),
-                   hi=min(hi_raw, 1.0), lo_clamped=lo_raw < -1.0, hi_clamped=hi_raw > 1.0,
-                   level=level)
+    return ConfidenceInterval(lo_raw=lo_raw, hi_raw=hi_raw, lo=max(lo_raw, -1.0),
+                              hi=min(hi_raw, 1.0), lo_clamped=lo_raw < -1.0,
+                              hi_clamped=hi_raw > 1.0, level=level)

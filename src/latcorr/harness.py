@@ -12,9 +12,10 @@ that bound its memory, each substream consumed as for one replication alone,
 then ``S``, every Gamma, ``C``, ``xi`` and the CIs of the stack in one pass of
 numpy columns (:func:`_estimate_tail`), one ``a_n`` per row.  :func:`run_cell`
 is its one-``r`` case and :func:`run_replication` the chunk of one
-replication.  Cell aggregation is a fixed-order fold over replication
-indices.  :func:`run_mse_table` may share a table's columns out to forked
-helper processes; no row depends on where, or beside which ``r``, it ran.
+replication.  A table folds each cell's columns in index order and builds no
+per-replication record; :func:`run_mse_table` may share its columns out to
+forked helpers, which reply with them.  No row depends on where, or beside
+which ``r``, it ran.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,19 +217,19 @@ def _latent_layer(config: ExperimentConfig, b_n: int, rs: tuple[float, ...], ind
                   a_n: list[float]):
     """Design (the first r's, whose grid every r shares), the count paths of the replications
     in ``indices`` for each ``r`` of ``rs``, stacked ``r``-major with ``a_n`` one per row, and
-    their ``(true_R, true_xi)``; the fine-grid work runs in sub-chunks of at most
+    their ``true_R`` and ``true_xi`` arrays; the fine-grid work runs in sub-chunks of at most
     :data:`CHUNK_BYTES`, each replication's substream consumed as for it alone."""
     keys = list(itertools.product(rs, indices))
     design = sim.SamplingDesign(b_n=b_n, a_n=a_n[0], m=config.refinement, T=config.model.T)
     size = max(1, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * config.refinement))
-    y1, y2, truths = [], [], []
+    parts = []
     for k in range(0, len(keys), size):
         rngs = [sim.replication_rng(config.seed, b_n, r, i) for r, i in keys[k:k + size]]
         path, counts = _simulate(config.model, design, a_n[k:k + size], rngs)
-        y1.append(counts.y1)
-        y2.append(counts.y2)
-        truths += [(t.R, t.xi) for t in oracle.truth_record(path, config.model)]
-    return design, sim.CountPath(y1=np.concatenate(y1), y2=np.concatenate(y2)), truths
+        truth = oracle.truth_record(path, config.model)
+        parts.append((counts.y1, counts.y2, truth.R, truth.xi))
+    y1, y2, true_R, true_xi = map(np.concatenate, zip(*parts))
+    return design, sim.CountPath(y1=y1, y2=y2), true_R, true_xi
 
 
 def _estimate_arrays(counts: sim.CountPath, a_n, delta_n, T, variants, overrides):
@@ -281,32 +282,37 @@ def estimate_counts(
         C, xi, counts.b_n, T, level)) for v, xi in xis.items()}
 
 
-def _records(config: ExperimentConfig, b_n: int, rs: tuple[float, ...],
-             indices: range) -> list[list[ReplicationRecord]]:
-    """The records of the replications in ``indices``, one list per ``r`` of ``rs``: their
-    latent layer, then ``S``, every Gamma, ``C``, ``xi`` and the CIs of all of them in one
-    stacked pass, each row with its own ``a_n``."""
+def _chunk(config: ExperimentConfig, b_n: int, rs: tuple[float, ...], indices: range):
+    """Columns of the replications in ``indices`` for each ``r`` of ``rs``, stacked ``r``-major:
+    their latent layer, then ``S``, every Gamma and the batched tail in one pass, each row with
+    its own ``a_n``.  Returns :func:`_estimate_tail`'s ``C``, ``v'Gv``, CI half-widths and mask,
+    then ``true_R`` and ``true_xi`` (R,)."""
     model = config.model
     if model.sigma1 == 0.0 or model.sigma2 == 0.0:
         raise estimators.DegenerateDataError(
             "model has a zero volatility: true correlation targets are undefined")
     a_n = [float(b_n) ** r for r in rs for _ in indices]
-    design, counts, truths = _latent_layer(config, b_n, rs, indices, a_n)
+    design, counts, true_R, true_xi = _latent_layer(config, b_n, rs, indices, a_n)
     S, gammas = _estimate_arrays(counts, a_n, design.delta_n, model.T, config.variants,
                                  config.bandwidth_overrides)
-    C, raw, half, mask = _estimate_tail(S, gammas, b_n, model.T, config.ci_level)
-    records = []
-    for (r, index), (true_R, true_xi), c, raws, halves, dead in zip(
-            itertools.product(rs, indices), truths, C.tolist(), raw.T.tolist(), half.T.tolist(),
-            mask.tolist()):
-        results = {} if dead else {
-            v: estimators._frozen(VariantResult, xi=max(x, 0.0), clamped=x < 0.0,
-                                  ci=estimators._interval(c, h, config.ci_level))
-            for v, x, h in zip(gammas, raws, halves)}
-        records.append(estimators._frozen(
-            ReplicationRecord, index=index, b_n=b_n, r=r, degenerate=dead, C=None if dead else c,
-            results=results, true_R=true_R, true_xi=true_xi))
-    return [records[k:k + len(indices)] for k in range(0, len(records), len(indices))]
+    return (*_estimate_tail(S, gammas, b_n, model.T, config.ci_level), true_R, true_xi)
+
+
+def _records(config: ExperimentConfig, b_n: int, r: float,
+             indices: range) -> list[ReplicationRecord]:
+    """The records of one cell's replications in ``indices``, built from :func:`_chunk`'s
+    columns: ``xi = max(v'Gv, 0)`` and the CI ``C -+ half`` of each live row."""
+    C, raw, half, mask, true_R, true_xi = _chunk(config, b_n, (r,), indices)
+    return [ReplicationRecord(
+        index=index, b_n=b_n, r=r, degenerate=dead, C=None if dead else c,
+        results={} if dead else {
+            v: VariantResult(xi=max(x, 0.0), clamped=x < 0.0,
+                             ci=estimators._interval(c, h, config.ci_level))
+            for v, x, h in zip(config.variants, raws, halves)},
+        true_R=t_R, true_xi=t_xi)
+        for index, c, raws, halves, dead, t_R, t_xi in zip(
+            indices, C.tolist(), raw.T.tolist(), half.T.tolist(), mask.tolist(),
+            true_R.tolist(), true_xi.tolist())]
 
 
 def run_replication(
@@ -321,7 +327,7 @@ def run_replication(
     """
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
-    return _records(config, b_n, (r,), range(index, index + 1))[0][0]
+    return _records(config, b_n, r, range(index, index + 1))[0]
 
 
 def run_cell(
@@ -341,7 +347,7 @@ def run_cell(
     for start in range(0, config.replications, CHUNK):
         indices = range(start, min(start + CHUNK, config.replications))
         try:
-            records += _records(config, b_n, (r,), indices)[0]
+            records += _records(config, b_n, r, indices)
         except Exception:  # not swallowed: the index that fails raises it again
             records += [run_replication(config, b_n, r, i) for i in indices]
     return records
@@ -350,23 +356,30 @@ def run_cell(
 def aggregate_cell(
     records: list[ReplicationRecord], config: ExperimentConfig, b_n: int, r: float
 ) -> list[MseRow]:
-    """Fold one cell's replication records into per-variant MSE rows."""
-    degenerate = sum(rec.degenerate for rec in records)
-    live = [rec for rec in records if not rec.degenerate]  # index order preserved
-    n_eff = len(live)
+    """Fold one cell's replication records into per-variant MSE rows (:func:`_fold`)."""
+    # a record keeps max(v'Gv, 0) and whether v'Gv < 0: -1 stands for a clamped form
+    raw = [[math.nan if rec.degenerate else -1.0 if rec.results[v].clamped else rec.results[v].xi
+            for rec in records] for v in config.variants]
+    return _fold(config, b_n, r, np.array(raw), np.array([rec.degenerate for rec in records]),
+                 np.array([rec.true_xi for rec in records]))
+
+
+def _fold(config: ExperimentConfig, b_n: int, r: float, raw, mask, true_xi) -> list[MseRow]:
+    """Per-variant MSE rows of one cell from its columns in replication-index order: each
+    variant's ``v'Gv`` (V, n), the degenerate mask and ``true_xi`` (n,)."""
+    raw, true_xi = raw[:, ~mask], true_xi[~mask]
+    n_eff = len(true_xi)
+    # libm's pow, as Python's float ** takes it: numpy's ** 2 is x*x, which differs in the last bit
+    sq = np.float_power(np.maximum(raw, 0.0) - true_xi, 2.0)
     rows = []
-    for variant in config.variants:
-        sq = np.array([(rec.results[variant].xi - rec.true_xi) ** 2 for rec in live])
-        mse = float(np.sum(sq) / n_eff) if n_eff else math.nan
-        d = sq - mse  # the steps of np.std(sq, ddof=1), bit for bit, without its call overhead
+    for variant, forms, s in zip(config.variants, raw, sq):
+        mse = float(np.sum(s) / n_eff) if n_eff else math.nan
+        d = s - mse  # the steps of np.std(s, ddof=1), bit for bit, without its call overhead
         stderr = (math.sqrt(float(np.sum(d * d)) / (n_eff - 1)) / math.sqrt(n_eff)
                   if n_eff > 1 else math.nan)
-        clamped = sum(rec.results[variant].clamped for rec in live)
-        rows.append(
-            MseRow(variant=variant, b_n=b_n, r=r, mse=mse, bn_times_mse=b_n * mse,
-                   degenerate_count=degenerate, clamped_count=clamped, n_effective=n_eff,
-                   mse_stderr=stderr)
-        )
+        rows.append(MseRow(variant=variant, b_n=b_n, r=r, mse=mse, bn_times_mse=b_n * mse,
+                           degenerate_count=len(mask) - n_eff, n_effective=n_eff,
+                           clamped_count=int(np.count_nonzero(forms < 0.0)), mse_stderr=stderr))
     return rows
 
 
@@ -376,45 +389,46 @@ def run_mse_table(config: ExperimentConfig, n_workers: int = 1) -> list[MseRow]:
     Rows are ordered (r, b_n, variant) with r and b_n in config order.
     ``mse = mean((xi_hat - xi_true)^2)`` over non-degenerate replications,
     aggregated in replication-index order.  The table runs column by column
-    (:func:`_column_rows`).  ``n_workers`` caps the processes, the caller
-    included, that share the columns (0 = every usable core, 1 = all in
-    process; so is a table run while the process has another thread, as the
-    helpers serve one table at a time and a fork copies only the calling
-    thread).  The rows are bit-identical for any value (:func:`_run_shared`).
+    (:func:`_column`) and folds each cell here (:func:`_fold`), or reruns the
+    cells of a column that raised through :func:`run_cell`.  ``n_workers``
+    caps the processes, the caller included, that share the columns (0 = every
+    usable core, 1 = all in process; so is a table run while the process has
+    another thread, as the helpers serve one table at a time and a fork copies
+    only the calling thread).  The rows are bit-identical for any value.
     """
     if n_workers < 0:
         raise ValueError("n_workers must be nonnegative")
-    cells = [(r, b_n) for r in config.r for b_n in config.b_n]
     shared = n_workers != 1 and _CAN_FORK and threading.active_count() == 1
     done = _run_shared(config, n_workers if shared else 1)
-    return [row for i, (r, b_n) in enumerate(cells)
-            for row in done.get(i) or aggregate_cell(run_cell(config, b_n, r), config, b_n, r)]
+    return [row for k, r in enumerate(config.r) for column, b_n in enumerate(config.b_n)
+            for row in (_fold(config, b_n, r, *done[column][k]) if column in done
+                        else aggregate_cell(run_cell(config, b_n, r), config, b_n, r))]
 
 
-def _column_rows(config: ExperimentConfig, column: int) -> list[list[MseRow]]:
-    """The rows of each cell of a column, in ``r`` order: each chunk runs for every ``r`` at
-    once, and each cell's records are folded as :func:`run_cell`'s."""
-    b_n = config.b_n[column]
-    cells = [[] for _ in config.r]
-    for start in range(0, config.replications, CHUNK):
-        indices = range(start, min(start + CHUNK, config.replications))
-        for records, chunk in zip(cells, _records(config, b_n, config.r, indices)):
-            records += chunk
-    return [aggregate_cell(records, config, b_n, r) for r, records in zip(config.r, cells)]
+def _column(config: ExperimentConfig, column: int) -> list[tuple]:
+    """Each cell's ``(v'Gv, mask, true_xi)`` of a column in ``r`` order, in replication-index
+    order: every chunk runs for all ``r`` at once (:func:`_chunk`), its rows ``r``-major."""
+    b_n, n_r, n = config.b_n[column], len(config.r), config.replications
+    chunks = [_chunk(config, b_n, config.r, range(start, min(start + CHUNK, n)))
+              for start in range(0, n, CHUNK)]
+    # the chunks' v'Gv, mask and true_xi, each split by r and joined over the chunks
+    raw, mask, true_xi = (np.concatenate([c[k].reshape(*c[k].shape[:-1], n_r, -1) for c in chunks],
+                                         axis=-1) for k in (1, 3, 5))
+    return [(raw[:, k], mask[k], true_xi[k]) for k in range(n_r)]
 
 
 # A helper is an os.fork child, kept for later tables, that reads pickled (config, columns)
-# commands from a pipe and writes back the rows of each column up to the first that raises.
-# It ignores SIGINT and exits at the end of its command pipe, so when the caller exits.  A
-# call that fails to reach a helper, or is interrupted, kills every helper, so none is left
-# at work on its table.  A helper keeps the functions it was forked with: code that
+# commands from a pipe and writes back each column's cells (_column) up to the first that
+# raises.  It ignores SIGINT and exits at the end of its command pipe, so when the caller
+# exits.  A call that fails to reach a helper, or is interrupted, kills every helper, so none
+# is left at work on its table.  A helper keeps the functions it was forked with: code that
 # monkeypatches them passes n_workers=1 or calls _stop_helpers.
 _CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 _helpers: list = []  # (pid, command pipe, reply pipe) of each live helper
 
 
 def _shares(config: ExperimentConfig, n_workers: int) -> list[list[int]]:
-    """Table positions of the cells each of k = min(``n_workers`` or the usable cores,
+    """The columns, in config order, each of k = min(``n_workers`` or the usable cores,
     the usable cores, the columns) processes runs, the caller's first, column by column:
     largest ``b_n`` first, each to the least loaded, at a cost per replication and r of
     ``1024 + b_n * refinement`` fine steps (fitted to cell times from ``b_n`` 16 to 1024)."""
@@ -426,17 +440,14 @@ def _shares(config: ExperimentConfig, n_workers: int) -> list[list[int]]:
         k = loads.index(min(loads))
         shares[k].append(column)
         loads[k] += len(config.r) * (1024 + config.b_n[column] * config.refinement)
-    return [[k * n_b + column for column in sorted(share) for k in range(len(config.r))]
-            for share in shares]
+    return [sorted(share) for share in shares]
 
 
 def _run_shared(config: ExperimentConfig, n_workers: int) -> dict:
-    """``{position: rows}`` of the cells whose columns ran without error, the caller's share
-    in process and each other on a helper.  :func:`run_mse_table` reruns any other cell
-    in process in table order, so an error raised is the serial loop's."""
-    n_b = len(config.b_n)
-    own, *others = ([*dict.fromkeys(i % n_b for i in share)]
-                    for share in _shares(config, n_workers))
+    """``{column: cells}`` (:func:`_column`) of the columns that ran without error, the caller's
+    share in process and each other on a helper.  :func:`run_mse_table` reruns any other
+    column's cells in table order, so an error raised is the serial loop's."""
+    own, *others = _shares(config, n_workers)
     done = {}
     try:
         while len(_helpers) < len(others):
@@ -446,16 +457,11 @@ def _run_shared(config: ExperimentConfig, n_workers: int) -> dict:
             commands.flush()
         for column in own:
             try:
-                rows = _column_rows(config, column)
+                done[column] = _column(config, column)
             except Exception:
                 break
-            done.update((k * n_b + column, cell) for k, cell in enumerate(rows))
         for (_, _, replies), share in zip(_helpers, others):
-            for column, rows in zip(share, pickle.load(replies)):
-                # with the caller's r and b_n objects, as in rows run here: no float of their own
-                for k, (r, cell) in enumerate(zip(config.r, rows)):
-                    done[k * n_b + column] = [replace(row, r=r, b_n=config.b_n[column])
-                                              for row in cell]
+            done.update(zip(share, pickle.load(replies)))
     except (OSError, EOFError, pickle.UnpicklingError):  # no fork or pipe, or a helper died
         _stop_helpers()
     except BaseException:  # Ctrl-C or a fault: a helper left at work would hold up the next call
@@ -485,11 +491,11 @@ def _start_helper() -> tuple:
         commands, replies = open(cmd_r, "rb"), open(rep_w, "wb")
         while True:  # until EOFError at the end of the commands
             config, columns = pickle.load(commands)
-            rows = []
+            cells = []
             with contextlib.suppress(Exception):  # the caller reruns the cells, which raises it
                 for column in columns:
-                    rows.append(_column_rows(config, column))
-            pickle.dump(rows, replies, pickle.HIGHEST_PROTOCOL)
+                    cells.append(_column(config, column))
+            pickle.dump(cells, replies, pickle.HIGHEST_PROTOCOL)
             replies.flush()
     finally:
         os._exit(0)

@@ -41,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """All path-wise targets for one latent path."""
+    """All path-wise targets for one latent path, or arrays of them over a replication axis."""
 
     U: CovEstimate
     R: float
@@ -67,13 +67,6 @@ def _grid_step(path: LatentPath) -> float:
     return float(path.times[1] - path.times[0])
 
 
-def _cov_and_R(u12: float, u11: float, u22: float) -> tuple[CovEstimate, float]:
-    if u11 * u22 <= 0.0:
-        raise DegenerateDataError("U11*U22 = 0: true correlation undefined")
-    U = CovEstimate(s12=float(u12), s11=float(u11), s22=float(u22))
-    return U, float(u12 / math.sqrt(u11 * u22))
-
-
 def true_U(path: LatentPath, params: ModelParams) -> tuple[CovEstimate, float]:
     """Target (co)variances U = (U12, U11, U22) and correlation R.
 
@@ -84,10 +77,11 @@ def true_U(path: LatentPath, params: ModelParams) -> tuple[CovEstimate, float]:
     """
     rows = diffusion_rows(path, params)
     dt = _grid_step(path)
-    return _cov_and_R(*(
-        (2.0 / 3.0) * np.trapezoid(np.einsum("ni,ni->n", rows[:, a - 1], rows[:, b - 1]), dx=dt)
-        for a, b in PAIRS
-    ))
+    u12, u11, u22 = (float((2.0 / 3.0) * np.trapezoid(
+        np.einsum("ni,ni->n", rows[:, a - 1], rows[:, b - 1]), dx=dt)) for a, b in PAIRS)
+    if u11 * u22 <= 0.0:
+        raise DegenerateDataError("U11*U22 = 0: true correlation undefined")
+    return CovEstimate(s12=u12, s11=u11, s22=u22), u12 / math.sqrt(u11 * u22)
 
 
 def true_gamma(path: LatentPath, params: ModelParams) -> GammaMatrix:
@@ -150,26 +144,29 @@ def true_xi(U: CovEstimate, gamma: GammaMatrix) -> float:
     return float(v @ gamma.values @ v)
 
 
-def truth_record(path: LatentPath, params: ModelParams) -> TruthRecord | list[TruthRecord]:
+def truth_record(path: LatentPath, params: ModelParams) -> TruthRecord:
     """Compute all targets in a single pass, in the Gram form of
     :func:`true_gamma_halfsum`; :func:`true_U` and :func:`true_gamma` are the
     reference forms.
 
-    A path with a leading replication axis gives one record per replication,
-    as a list, each equal to the record of that path alone.  Raises
-    ValueError if a target or the weight vector of ``xi`` is out of float
-    range, and DegenerateDataError if ``U11*U22 = 0``.
+    A path with a leading replication axis gives one record of arrays over
+    that axis, each row with the bits of that path alone.  Raises ValueError
+    if a target or the weight vector of ``xi`` is out of float range, and
+    DegenerateDataError if ``U11*U22 = 0``: the first failing row raises its own.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target raises below
         u, gamma = _gram_targets(path, params)
+        sums = u.reshape(-1, 3)
+        product = sums[:, 1] * sums[:, 2]  # overflows only where the xi weights do
     if not (np.isfinite(u).all() and np.isfinite(gamma).all()):
         raise ValueError("path-wise targets U or gamma overflow a float")
-    sums, gammas = u.reshape(-1, 3).tolist(), gamma.reshape(-1, 3, 3)
-    xis, errors = xi_forms(sums, gammas)
-    records = []
-    for s, gamma_k, xi, error in zip(sums, gammas, xis.tolist(), errors):
-        U, R = _cov_and_R(*s)
+    xi, errors = xi_forms(sums.tolist(), gamma.reshape(-1, 3, 3))
+    for dead, error in zip((product <= 0.0).tolist(), errors):
+        if dead:
+            raise DegenerateDataError("U11*U22 = 0: true correlation undefined")
         if error:  # the model's truth, not the data, is out of range
             raise ValueError(f"path-wise xi: {error}") from error
-        records.append(TruthRecord(U=U, R=R, gamma=GammaMatrix(values=gamma_k), xi=xi))
-    return records if path.x1.ndim > 1 else records[0]
+    fields = [*sums.T, sums[:, 0] / np.sqrt(product), xi]  # U12, U11, U22, R, xi
+    u12, u11, u22, R, xi = [float(x[0]) for x in fields] if path.x1.ndim == 1 else fields
+    return TruthRecord(U=CovEstimate(s12=u12, s11=u11, s22=u22), R=R,
+                       gamma=GammaMatrix(values=gamma), xi=xi)

@@ -229,6 +229,11 @@ class TestBandwidthSpec:
         with pytest.raises(ValueError):
             est.BandwidthSpec.from_exponent(-0.5).resolve(16, 1.0)
 
+    @pytest.mark.parametrize("b_n", [16.5, 16.0, True])
+    def test_grid_size_must_be_an_integer(self, b_n):
+        with pytest.raises(ValueError, match=r"^b_n must be an integer of at least 2"):
+            est.BandwidthSpec.from_exponent(0.5).resolve(b_n, 1.0)
+
 
 class TestGammaKernel:
     def test_constant_series_zero(self):

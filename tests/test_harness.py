@@ -111,19 +111,29 @@ class TestRunReplication:
 
 class TestMseTable:
     def test_stubbed_estimator_gives_zero_mse(self, study_model, monkeypatch):
-        ci = est.confidence_interval(0.5, 0.0, 16, 1.0)
-
         def stub(config, b_n, rs, indices):  # the stacked pass every table runs
-            results = {v: harness.VariantResult(xi=1.23, clamped=False, ci=ci)
-                       for v in config.variants}
-            return [[harness.ReplicationRecord(index=index, b_n=b_n, r=r, degenerate=False,
-                                               C=0.5, results=results, true_R=0.5, true_xi=1.23)
-                     for index in indices] for r in rs]
+            R, V = len(rs) * len(indices), len(config.variants)
+            return (np.full(R, 0.5), np.full((V, R), 1.23), np.zeros((V, R)),
+                    np.zeros(R, dtype=bool), np.full(R, 0.5), np.full(R, 1.23))
 
-        monkeypatch.setattr(harness, "_records", stub)
+        monkeypatch.setattr(harness, "_chunk", stub)
         cfg = small_config(study_model, replications=1)
         rows = harness.run_mse_table(cfg)
         assert all(row.mse == 0.0 for row in rows)
+
+    def test_table_builds_no_per_replication_object(self, study_model, monkeypatch):
+        cfg = small_config(study_model, b_n=(16, 32), r=(2.0, 3.0), replications=9)
+        base = repr(harness.run_mse_table(cfg))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table built a per-replication object")
+
+        for module, name in [(harness, "ReplicationRecord"), (harness, "VariantResult"),
+                             (est, "ConfidenceInterval")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert repr(harness.run_mse_table(cfg)) == base
+        with pytest.raises(AssertionError, match="per-replication"):
+            harness.run_cell(cfg, 16, 2.0)
 
     def test_bn_times_mse_identity(self, study_model):
         cfg = small_config(study_model, b_n=(16, 32))
@@ -246,6 +256,39 @@ class TestMseStderr:
             assert row.mse_stderr == float(np.std(sq, ddof=1) / math.sqrt(len(sq)))
             assert row.mse_stderr > 0.0
 
+    @pytest.mark.parametrize("r", [1.0, 0.0])  # b_n 4 clamps a v'Gv at r = 1; r = 0 masks rows
+    def test_table_folds_the_records_of_run_cell(self, study_model, r):
+        cfg = small_config(study_model, b_n=(4, 16), r=(r,), variants=harness.VARIANTS,
+                           replications=24, seed=7)
+        want = []
+        for b_n in cfg.b_n:
+            records = harness.run_cell(cfg, b_n, r)
+            live = [rec for rec in records if not rec.degenerate]
+            for v in cfg.variants:
+                sq = np.array([(rec.results[v].xi - rec.true_xi) ** 2 for rec in live])
+                want.append((v, b_n, float(np.sum(sq) / len(sq)).hex(), len(records) - len(live),
+                             sum(rec.results[v].clamped for rec in live), len(live)))
+        rows = harness.run_mse_table(cfg)
+        assert [(row.variant, row.b_n, row.mse.hex(), row.degenerate_count, row.clamped_count,
+                 row.n_effective) for row in rows] == want
+        assert any(row.clamped_count for row in rows) == (r == 1.0)
+        assert any(row.degenerate_count for row in rows) == (r == 0.0)
+
+    def test_mse_squares_each_error_as_python_floats_do(self, study_model):
+        # Python's float ** is libm's pow, numpy's ** 2 is x*x: they can differ in the last
+        # bit, so the fold keeps the former; the xi below are those where they differ
+        xis = 2.0 + np.random.default_rng(5).uniform(-2.0, 2.0, 200_000)
+        errors = (xis - 2.0).tolist()
+        picked = [k for k, e in enumerate(errors) if e * e != e ** 2][:50]
+        cfg = small_config(study_model, variants=("1",), replications=1)
+        ci = est.confidence_interval(0.5, 0.0, 16, 1.0)
+        for k in picked + [0, 1, 2]:
+            rec = harness.ReplicationRecord(  # a cell of one replication: its mse is its square
+                index=0, b_n=16, r=3.0, degenerate=False, C=0.5, true_R=0.5, true_xi=2.0,
+                results={"1": harness.VariantResult(xi=float(xis[k]), clamped=False, ci=ci)})
+            (row,) = harness.aggregate_cell([rec], cfg, 16, 3.0)
+            assert row.mse.hex() == (errors[k] ** 2).hex()
+
     def test_nan_below_two_replications(self, study_model):
         rows = harness.run_mse_table(small_config(study_model, replications=1))
         assert all(math.isnan(row.mse_stderr) for row in rows)
@@ -328,7 +371,7 @@ def test_run_cell_equals_single_replications_in_reverse_order(study_model, repli
 
 def test_simulate_replication_gives_the_counts_of_the_chunk(study_model):
     cfg = small_config(study_model, replications=11)
-    design, counts, _ = harness._latent_layer(cfg, 16, (3.0,), range(8, 11), [16.0 ** 3.0] * 3)
+    design, counts, _, _ = harness._latent_layer(cfg, 16, (3.0,), range(8, 11), [16.0 ** 3.0] * 3)
     for i, y1, y2 in zip(range(8, 11), counts.y1, counts.y2):
         alone_design, _, alone = harness.simulate_replication(cfg, 16, 3.0, i)
         assert alone_design == design

@@ -125,6 +125,45 @@ class TestTruthRecord:
         g_f, g_c = fine.gamma.values, coarse.gamma.values
         assert np.max(np.abs(g_f - g_c)) <= 1e-4 * np.max(np.abs(g_f))
 
+    def test_stacked_path_gives_each_row_the_bits_of_that_path_alone(self, study_model):
+        design = sim.SamplingDesign(b_n=32, a_n=1.0, m=8, T=1.0)
+        stacked = sim.simulate_latent(study_model, design,
+                                      [np.random.default_rng(seed) for seed in range(5)])
+        rec = oracle.truth_record(stacked, study_model)
+        assert rec.R.shape == rec.xi.shape == rec.U.s11.shape == (5,)
+        assert rec.gamma.values.shape == (5, 3, 3)
+        for k in range(5):
+            alone = oracle.truth_record(
+                sim.LatentPath(times=stacked.times, x1=stacked.x1[k], x2=stacked.x2[k]),
+                study_model)
+            assert all(type(x) is float for x in (alone.U.s12, alone.R, alone.xi))
+            got = [rec.U.s12[k], rec.U.s11[k], rec.U.s22[k], rec.R[k], rec.xi[k],
+                   *rec.gamma.values[k].ravel()]
+            want = [alone.U.s12, alone.U.s11, alone.U.s22, alone.R, alone.xi,
+                    *alone.gamma.values.ravel()]
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_first_failing_row_of_a_stacked_path_raises_its_own_error(self, study_model):
+        live = gbm_path(study_model)
+        n = live.n_nodes
+        rows = {"live": live.x1,
+                "zero": np.full(n, 1e-200),  # U11 underflows to 0
+                "huge": np.full(n, 1e60)}  # U and gamma are finite, the xi weights are not
+
+        def truth(*names):
+            path = sim.LatentPath(times=live.times, x1=np.array([rows[k] for k in names]),
+                                  x2=np.array([live.x2] * len(names)))
+            return oracle.truth_record(path, study_model)
+
+        for names, error, message in [(("live", "zero", "huge"), est.DegenerateDataError, "U11"),
+                                      (("live", "huge", "zero"), ValueError, "path-wise xi")]:
+            with pytest.raises(error, match=message) as raised:
+                truth(*names)
+            assert type(raised.value) is error
+            with pytest.raises(error, match=message):
+                truth(names[1])
+        assert truth("live", "live").xi.tolist() == [truth("live").xi] * 2
+
 
 class TestTruthRecordMatchesTensorForm:
     @pytest.mark.parametrize("rho", [-1.0, 0.0, 0.7, 1.0])

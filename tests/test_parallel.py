@@ -90,11 +90,11 @@ def test_planned_processes_are_capped_without_starting_any(study_model, cores):
     for n_workers, k in [(100000, 3), (0, 3), (2, 2), (1, 1)]:
         shares = harness._shares(cfg, n_workers)
         assert len(shares) == k
-        assert sorted(i for share in shares for i in share) == list(range(12))
+        assert sorted(column for share in shares for column in share) == list(range(6))
     assert len(harness._shares(config(study_model, b_n=(16,)), 100000)) == 1
-    # a column (one b_n, every r) runs in one process, and the largest goes first: both
-    # b_n = 512 cells are the caller's
-    assert [sum(i % 6 == 5 for i in share) for share in harness._shares(cfg, 2)] == [2, 0]
+    # a column (one b_n, every r) runs in one process, and the largest goes first: the
+    # b_n = 512 column is the caller's
+    assert [5 in share for share in harness._shares(cfg, 2)] == [True, False]
 
 
 def _cell_by_cell(cfg):
@@ -111,7 +111,9 @@ def _cell_by_cell(cfg):
     dict(b_n=(256, 512), r=(2.0, 3.5), replications=11),
     dict(b_n=(32, 16, 32), r=(2.5, 3.0), replications=9),  # a repeated b_n: two columns
     dict(b_n=(16, 64), r=(3.5, 2.0), variants=("n", "w"), bandwidth_overrides={"w": 0.4}),
-], ids=["degenerate-rows", "sub-chunks", "repeated-b_n", "overrides-and-variants"])
+    # a_n = b_n and b_n**2 at b_n 4: some v'Gv < 0, clamped in the rows of both r
+    dict(b_n=(4, 8), r=(1.0, 2.0), replications=24),
+], ids=["degenerate-rows", "sub-chunks", "repeated-b_n", "overrides-and-variants", "clamped-rows"])
 def test_stacked_columns_give_the_rows_of_each_cell_alone(study_model, cores, fresh_helpers,
                                                           grid):
     cfg = config(study_model, **{"variants": harness.VARIANTS, **grid})
@@ -119,6 +121,8 @@ def test_stacked_columns_give_the_rows_of_each_cell_alone(study_model, cores, fr
     base = _cell_by_cell(cfg)
     if 0.0 in cfg.r:
         assert [row.degenerate_count for row in base[::len(cfg.variants)]] == [0, 0, 6, 2, 10, 10]
+    if cfg.b_n == (4, 8):
+        assert any(row.clamped_count for row in base)
     for n_workers in (1, 2, 3):
         assert repr(harness.run_mse_table(cfg, n_workers=n_workers)) == repr(base), n_workers
 
@@ -164,14 +168,14 @@ def test_error_of_a_helper_cell_surfaces_in_table_order(study_model, cores, fres
 
 def test_first_failing_cell_in_table_order_wins_over_the_callers(study_model, monkeypatch, cores,
                                                                  fresh_helpers):
-    real = harness.aggregate_cell
+    real = harness._chunk
 
-    def fail_small(records, config, b_n, r):
+    def fail_small(config, b_n, rs, indices):
         if b_n < 64:
             raise ValueError(f"cell b_n={b_n}")
-        return real(records, config, b_n, r)
+        return real(config, b_n, rs, indices)
 
-    monkeypatch.setattr(harness, "aggregate_cell", fail_small)  # before the helper forks
+    monkeypatch.setattr(harness, "_chunk", fail_small)  # before the helper forks
     cfg = config(study_model, b_n=(16, 32, 8, 64, 128, 256), r=(3.0,), replications=2)
     own, helper = harness._shares(cfg, 2)
     assert 0 in helper and {1, 2} <= set(own)
@@ -226,7 +230,7 @@ def test_an_interrupted_call_kills_its_helpers(study_model, monkeypatch, cores, 
     # the helper's share would take minutes; the caller's is interrupted at once
     busy = config(study_model, b_n=(2048, 2048), replications=5000)
     with monkeypatch.context() as patch:  # in this process only: the helper already runs
-        patch.setattr(harness, "_column_rows", interrupt)
+        patch.setattr(harness, "_column", interrupt)
         with pytest.raises(KeyboardInterrupt):
             harness.run_mse_table(busy, n_workers=2)
     assert helper_pids() == [] and not _running(pid)
