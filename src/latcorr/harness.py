@@ -5,17 +5,17 @@ position of the config's ``b_n`` with every ``r``.  Every replication owns an
 RNG substream derived from ``(seed, b_n, r, index)``, simulates one latent
 path and one count path (:func:`simulate_replication`), estimates C and every
 requested xi and CI from the counts with the bits of :func:`estimate_counts`
-(the scalar chain, which the CLI calls), and computes the path-wise truth.  A
-table runs column by column in chunks of :data:`CHUNK` indices stacked over
-every ``r``, ``r``-major: the latent layer (paths, counts, truth) in sub-chunks
-that bound its memory, each substream consumed as for one replication alone,
-then ``S``, every Gamma, ``C``, ``xi`` and the CIs of the stack in one pass of
-numpy columns (:func:`_estimate_tail`), one ``a_n`` per row.  :func:`run_cell`
-is its one-``r`` case and :func:`run_replication` the chunk of one
-replication.  A table folds each cell's columns in index order and builds no
-per-replication record; :func:`run_mse_table` may share its columns out to
-forked helpers, which reply with them.  No row depends on where, or beside
-which ``r``, it ran.
+(the scalar chain, which the CLI calls), and computes the path-wise truth.  One
+walk (:func:`_column`) runs a range of indices for some ``r`` in chunks of
+:data:`CHUNK` indices stacked over them, ``r``-major: the latent layer (paths,
+counts, truth) in sub-chunks that bound its memory, each substream consumed as
+for one replication alone, then ``S``, every Gamma, ``C``, ``xi`` and the CIs
+of the stack in one pass of numpy columns (:func:`_estimate_tail`), one ``a_n``
+per row.  A table folds each cell's columns in index order and never builds a
+per-replication record; :func:`run_cell` and :func:`run_replication` build
+them from the walk of one ``r``.  :func:`run_mse_table` may share its columns
+out to forked helpers, which reply with them.  No row depends on where, or
+beside which ``r``, it ran.
 """
 
 from __future__ import annotations
@@ -298,11 +298,29 @@ def _chunk(config: ExperimentConfig, b_n: int, rs: tuple[float, ...], indices: r
     return (*_estimate_tail(S, gammas, b_n, model.T, config.ci_level), true_R, true_xi)
 
 
+def _column(config: ExperimentConfig, b_n: int, rs: tuple[float, ...], indices: range) -> list:
+    """:func:`_chunk`'s six columns of the replications in ``indices`` for each ``r`` of ``rs``,
+    each split by ``r`` and joined over the chunks of :data:`CHUNK` indices in index order:
+    ``C`` (len(rs), n), ``v'Gv`` and the CI half-widths (V, len(rs), n), then the mask,
+    ``true_R`` and ``true_xi`` (len(rs), n).  A chunk that raises runs again one index at a
+    time, so the first failing index raises its own error."""
+    parts = []
+    for k in range(0, len(indices), CHUNK):
+        chunk = indices[k:k + CHUNK]
+        try:
+            parts.append(_chunk(config, b_n, rs, chunk))
+        except Exception:  # not swallowed: the index that fails raises it again
+            parts += [_chunk(config, b_n, rs, range(i, i + 1)) for i in chunk]
+    return [np.concatenate([p[k].reshape(*p[k].shape[:-1], len(rs), -1) for p in parts], axis=-1)
+            for k in range(6)]
+
+
 def _records(config: ExperimentConfig, b_n: int, r: float,
              indices: range) -> list[ReplicationRecord]:
-    """The records of one cell's replications in ``indices``, built from :func:`_chunk`'s
+    """The records of one cell's replications in ``indices``, built from :func:`_column`'s
     columns: ``xi = max(v'Gv, 0)`` and the CI ``C -+ half`` of each live row."""
-    C, raw, half, mask, true_R, true_xi = _chunk(config, b_n, (r,), indices)
+    C, raw, half, mask, true_R, true_xi = (c[..., 0, :]
+                                           for c in _column(config, b_n, (r,), indices))
     return [ReplicationRecord(
         index=index, b_n=b_n, r=r, degenerate=dead, C=None if dead else c,
         results={} if dead else {
@@ -333,9 +351,8 @@ def run_replication(
 def run_cell(
     config: ExperimentConfig, b_n: int, r: float, n_workers: int = 1
 ) -> list[ReplicationRecord]:
-    """All replications of one cell, ordered by replication index, in chunks of
-    :data:`CHUNK`.  A chunk that raises runs again one replication at a time, so
-    the first failing index raises its own error.
+    """The records of all replications of one cell in index order, from the walk a
+    table folds (:func:`_column`): the first failing index raises its own error.
 
     A cell always runs in the calling process; the unit of parallel work is a
     column (:func:`run_mse_table`).  ``n_workers`` is accepted for symmetry with
@@ -343,14 +360,7 @@ def run_cell(
     """
     if n_workers < 0:
         raise ValueError("n_workers must be nonnegative")
-    records = []
-    for start in range(0, config.replications, CHUNK):
-        indices = range(start, min(start + CHUNK, config.replications))
-        try:
-            records += _records(config, b_n, r, indices)
-        except Exception:  # not swallowed: the index that fails raises it again
-            records += [run_replication(config, b_n, r, i) for i in indices]
-    return records
+    return _records(config, b_n, r, range(config.replications))
 
 
 def aggregate_cell(
@@ -388,41 +398,36 @@ def run_mse_table(config: ExperimentConfig, n_workers: int = 1) -> list[MseRow]:
 
     Rows are ordered (r, b_n, variant) with r and b_n in config order.
     ``mse = mean((xi_hat - xi_true)^2)`` over non-degenerate replications,
-    aggregated in replication-index order.  The table runs column by column
-    (:func:`_column`) and folds each cell here (:func:`_fold`), or reruns the
-    cells of a column that raised through :func:`run_cell`.  ``n_workers``
-    caps the processes, the caller included, that share the columns (0 = every
-    usable core, 1 = all in process; so is a table run while the process has
-    another thread, as the helpers serve one table at a time and a fork copies
-    only the calling thread).  The rows are bit-identical for any value.
+    aggregated in replication-index order.  Each column (one ``b_n``, every
+    ``r``) runs through :func:`_column` and each cell folds here (:func:`_fold`):
+    no per-replication record.  ``n_workers`` caps the processes, the caller
+    included, that share the columns (0 = every usable core, 1 = all in process;
+    so is a table run while the process has another thread, as the helpers serve
+    one table at a time and a fork copies only the calling thread).  A column
+    that did not come back (:func:`_run_shared`) reruns cell by cell in table
+    order, so an error raised is the serial loop's.  The rows are bit-identical
+    for any value.
     """
     if n_workers < 0:
         raise ValueError("n_workers must be nonnegative")
     shared = n_workers != 1 and _CAN_FORK and threading.active_count() == 1
     done = _run_shared(config, n_workers if shared else 1)
-    return [row for k, r in enumerate(config.r) for column, b_n in enumerate(config.b_n)
-            for row in (_fold(config, b_n, r, *done[column][k]) if column in done
-                        else aggregate_cell(run_cell(config, b_n, r), config, b_n, r))]
-
-
-def _column(config: ExperimentConfig, column: int) -> list[tuple]:
-    """Each cell's ``(v'Gv, mask, true_xi)`` of a column in ``r`` order, in replication-index
-    order: every chunk runs for all ``r`` at once (:func:`_chunk`), its rows ``r``-major."""
-    b_n, n_r, n = config.b_n[column], len(config.r), config.replications
-    chunks = [_chunk(config, b_n, config.r, range(start, min(start + CHUNK, n)))
-              for start in range(0, n, CHUNK)]
-    # the chunks' v'Gv, mask and true_xi, each split by r and joined over the chunks
-    raw, mask, true_xi = (np.concatenate([c[k].reshape(*c[k].shape[:-1], n_r, -1) for c in chunks],
-                                         axis=-1) for k in (1, 3, 5))
-    return [(raw[:, k], mask[k], true_xi[k]) for k in range(n_r)]
+    rows, indices = [], range(config.replications)
+    for k, r in enumerate(config.r):
+        for column, b_n in enumerate(config.b_n):
+            # the cell is row k of its shared column, or the one row of a walk of its r alone
+            columns, j = ((done[column], k) if column in done
+                          else (_column(config, b_n, (r,), indices), 0))
+            rows += _fold(config, b_n, r, columns[1][:, j], columns[3][j], columns[5][j])
+    return rows
 
 
 # A helper is an os.fork child, kept for later tables, that reads pickled (config, columns)
-# commands from a pipe and writes back each column's cells (_column) up to the first that
-# raises.  It ignores SIGINT and exits at the end of its command pipe, so when the caller
-# exits.  A call that fails to reach a helper, or is interrupted, kills every helper, so none
-# is left at work on its table.  A helper keeps the functions it was forked with: code that
-# monkeypatches them passes n_workers=1 or calls _stop_helpers.
+# commands from a pipe and writes back every column's walk (_column), or exits if one raises.
+# It ignores SIGINT and exits at the end of its command pipe, so when the caller exits.  Any
+# failure of a shared table kills every helper, so none is left at work on it.  A helper
+# keeps the functions it was forked with: code that monkeypatches them passes n_workers=1 or
+# calls _stop_helpers.
 _CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 _helpers: list = []  # (pid, command pipe, reply pipe) of each live helper
 
@@ -444,11 +449,13 @@ def _shares(config: ExperimentConfig, n_workers: int) -> list[list[int]]:
 
 
 def _run_shared(config: ExperimentConfig, n_workers: int) -> dict:
-    """``{column: cells}`` (:func:`_column`) of the columns that ran without error, the caller's
-    share in process and each other on a helper.  :func:`run_mse_table` reruns any other
-    column's cells in table order, so an error raised is the serial loop's."""
+    """``{column: columns}`` (:func:`_column` of every ``r``) of the columns done, the caller's
+    share in process and each other on a helper.  Any ``Exception`` (a column that raises
+    here, a failed fork or pipe, a helper that died, one whose column raised included) stops
+    every helper and returns the columns done so far: :func:`run_mse_table` reruns the rest.
+    A ``BaseException`` (Ctrl-C) stops them and propagates."""
     own, *others = _shares(config, n_workers)
-    done = {}
+    done, indices = {}, range(config.replications)
     try:
         while len(_helpers) < len(others):
             _helpers.append(_start_helper())
@@ -456,15 +463,12 @@ def _run_shared(config: ExperimentConfig, n_workers: int) -> dict:
             pickle.dump((config, share), commands, pickle.HIGHEST_PROTOCOL)
             commands.flush()
         for column in own:
-            try:
-                done[column] = _column(config, column)
-            except Exception:
-                break
+            done[column] = _column(config, config.b_n[column], config.r, indices)
         for (_, _, replies), share in zip(_helpers, others):
             done.update(zip(share, pickle.load(replies)))
-    except (OSError, EOFError, pickle.UnpicklingError):  # no fork or pipe, or a helper died
+    except Exception:
         _stop_helpers()
-    except BaseException:  # Ctrl-C or a fault: a helper left at work would hold up the next call
+    except BaseException:
         _stop_helpers()
         raise
     return done
@@ -489,13 +493,10 @@ def _start_helper() -> tuple:
         os.close(cmd_w)  # or its command pipe would never end
         os.close(rep_r)
         commands, replies = open(cmd_r, "rb"), open(rep_w, "wb")
-        while True:  # until EOFError at the end of the commands
+        while True:  # until EOFError at the end of the commands, or a column that raises
             config, columns = pickle.load(commands)
-            cells = []
-            with contextlib.suppress(Exception):  # the caller reruns the cells, which raises it
-                for column in columns:
-                    cells.append(_column(config, column))
-            pickle.dump(cells, replies, pickle.HIGHEST_PROTOCOL)
+            pickle.dump([_column(config, config.b_n[column], config.r, range(config.replications))
+                         for column in columns], replies, pickle.HIGHEST_PROTOCOL)
             replies.flush()
     finally:
         os._exit(0)
@@ -523,26 +524,24 @@ if _CAN_FORK:  # a forked child, a helper included, only closes its copies of th
 def fit_rate_slope(rows: list[MseRow], variant: str, r: float) -> float:
     """Least-squares slope of log(mse) against log(b_n) for one variant.
 
-    Invalid rows are excluded; fewer than three remaining points is an error.
+    Invalid rows are excluded; fewer than three distinct grid sizes among the
+    remaining points is an error.
     """
-    pts = [
-        (row.b_n, row.mse)
-        for row in rows
-        if row.variant == variant and row.r == r and row.valid and row.mse > 0
-    ]
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 valid rows for variant {variant!r}, got {len(pts)}")
-    logb = np.log([b for b, _ in pts])
-    logm = np.log([m for _, m in pts])
-    slope, _ = np.polyfit(logb, logm, 1)
-    return float(slope)
+    pts = [(row.b_n, row.mse) for row in rows
+           if row.variant == variant and row.r == r and row.valid and row.mse > 0]
+    sizes = len({b for b, _ in pts})
+    if sizes < 3:
+        raise ValueError(f"variant {variant!r} has valid rows at {sizes} grid sizes, need 3")
+    return float(np.polyfit(*np.log(pts).T, 1)[0])
 
 
 def rate_check(config: ExperimentConfig, variant: str, n_workers: int = 1) -> float:
     """Run the grid (single r required) and fit the MSE decay slope."""
     if len(config.r) != 1:
         raise ValueError("rate_check needs a config with exactly one rate exponent")
-    if len(config.b_n) < 3:
-        raise ValueError("rate_check needs at least 3 grid sizes")
+    if len(set(config.b_n)) < 3:
+        raise ValueError("rate_check needs at least 3 distinct grid sizes")
+    if variant not in config.variants:
+        raise ValueError(f"the config runs no variant {variant!r}, only {list(config.variants)}")
     rows = run_mse_table(config, n_workers=n_workers)
     return fit_rate_slope(rows, variant, config.r[0])

@@ -255,6 +255,15 @@ class TestRateCheckCommand:
         cfg = write_config(tmp_path, b_n=[16, 32, 64], r=[2.0, 3.0], replications=2)
         assert cli.main(["rate-check", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("b_n", [[16, 16, 16], [16, 32, 16]], ids=["one-size", "two-sizes"])
+    def test_fewer_than_3_distinct_grid_sizes_rejected(self, tmp_path, capsys, b_n):
+        # each used to fit a slope through 1 or 2 sizes, with numpy's RankWarning, and exit 0
+        cfg = write_config(tmp_path, b_n=b_n, replications=2)
+        assert cli.main(["rate-check", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rate_check needs at least 3 distinct grid sizes\n"
+
 
 class TestBoundaryRejections:
     def write_counts(self, tmp_path, times) -> Path:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -124,14 +125,32 @@ class TestMseTable:
     def test_table_builds_no_per_replication_object(self, study_model, monkeypatch):
         cfg = small_config(study_model, b_n=(16, 32), r=(2.0, 3.0), replications=9)
         base = repr(harness.run_mse_table(cfg))
+        # x1_0 = 4e20: the counts of r = 3 pass the int64 range at every b_n, those of r = -1
+        # (a_n = 1/b_n) only below b_n 64, so the first failing cell follows two live ones
+        failing = small_config(dataclasses.replace(study_model, x1_0=4e20), b_n=(256, 128, 16),
+                               r=(-1.0, 3.0), replications=4)
+        with pytest.raises(ValueError, match="64-bit range") as serial:
+            for r, b_n in itertools.product(failing.r, failing.b_n):
+                harness.run_cell(failing, b_n, r)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a table built a per-replication object")
 
+        def no_fork():
+            raise OSError("no fork to be had")
+
         for module, name in [(harness, "ReplicationRecord"), (harness, "VariantResult"),
                              (est, "ConfidenceInterval")]:
             monkeypatch.setattr(module, name, refuse)
-        assert repr(harness.run_mse_table(cfg)) == base
+        # at n_workers=2 the fork fails, so every cell of both r reruns in this process
+        monkeypatch.setattr(harness.os, "fork", no_fork)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        harness._stop_helpers()  # a kept helper would take the columns without a fork
+        for n_workers in (1, 2):
+            assert repr(harness.run_mse_table(cfg, n_workers=n_workers)) == base
+            with pytest.raises(ValueError) as stacked:
+                harness.run_mse_table(failing, n_workers=n_workers)
+            assert str(stacked.value) == str(serial.value)
         with pytest.raises(AssertionError, match="per-replication"):
             harness.run_cell(cfg, 16, 2.0)
 
@@ -219,13 +238,14 @@ class TestRateCheck:
         slope = harness.fit_rate_slope(rows, "1", 3.5)
         assert slope == pytest.approx(-1.43, abs=0.02)
 
-    def test_too_few_points_rejected(self):
+    @pytest.mark.parametrize("sizes", [(16, 32), (16, 32, 16, 32)], ids=["two", "two-repeated"])
+    def test_too_few_points_rejected(self, sizes):
         rows = [
-            harness.MseRow(variant="1", b_n=b, r=2.0, mse=0.5, bn_times_mse=0.5 * b,
+            harness.MseRow(variant="1", b_n=b, r=2.0, mse=0.5 / b, bn_times_mse=0.5,
                            degenerate_count=0, clamped_count=0, n_effective=10)
-            for b in (16, 32)
+            for b in sizes
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^variant '1' has valid rows at 2 grid sizes"):
             harness.fit_rate_slope(rows, "1", 2.0)
 
     def test_invalid_rows_excluded(self):
@@ -244,6 +264,18 @@ class TestRateCheck:
         cfg = small_config(study_model, b_n=(16, 32, 64), r=(2.0, 3.0))
         with pytest.raises(ValueError):
             harness.rate_check(cfg, "1")
+
+    @pytest.mark.parametrize("variant", ["2", "1"])
+    def test_rate_check_rejects_a_variant_the_config_does_not_run(self, study_model,
+                                                                  monkeypatch, variant):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the table ran")
+
+        monkeypatch.setattr(harness, "run_mse_table", no_table)
+        cfg = small_config(study_model, b_n=(16, 32, 64), variants=("w",))
+        with pytest.raises(ValueError, match=rf"^the config runs no variant '{variant}', only "
+                                             r"\['w'\]$"):
+            harness.rate_check(cfg, variant)
 
 
 class TestMseStderr:

@@ -181,7 +181,35 @@ def test_first_failing_cell_in_table_order_wins_over_the_callers(study_model, mo
     assert 0 in helper and {1, 2} <= set(own)
     with pytest.raises(ValueError, match="^cell b_n=16$"):
         harness.run_mse_table(cfg, n_workers=2)
-    assert len(helper_pids()) == 1
+    assert helper_pids() == []  # a table that raised left no helper
+
+
+@pytest.mark.parametrize("b_n, failing", [
+    ((128, 16, 256), "helper"),  # the helper's share is b_n 128 and 16
+    ((256, 256, 16), "caller"),  # the caller's share is the first b_n 256 and 16
+], ids=["helper", "caller"])
+def test_a_table_that_raises_leaves_no_helper(study_model, monkeypatch, cores, fresh_helpers,
+                                              b_n, failing):
+    # x1_0 = 4e20 and a_n = 1/b_n: the counts pass the int64 range below b_n 64, at b_n 16 alone
+    cfg = config(dataclasses.replace(study_model, x1_0=4e20), b_n=b_n, r=(-1.0,),
+                 replications=4)
+    own, _ = harness._shares(cfg, 2)
+    assert (b_n.index(16) in own) == (failing == "caller")
+    started = []  # the pids of the helpers forked, in order
+    real = harness._start_helper
+
+    def start_helper():
+        helper = real()
+        started.append(helper[0])
+        return helper
+
+    monkeypatch.setattr(harness, "_start_helper", start_helper)
+    with pytest.raises(ValueError, match="64-bit range"):
+        harness.run_mse_table(cfg, n_workers=2)
+    assert helper_pids() == [] and len(started) == 1 and not _running(started[0])
+    ok = dataclasses.replace(cfg, b_n=(128, 256))
+    assert repr(harness.run_mse_table(ok, n_workers=2)) == repr(harness.run_mse_table(ok))
+    assert helper_pids() == started[1:] and len(started) == 2
 
 
 def test_a_killed_helper_leaves_the_next_rows_unchanged(study_model, cores, fresh_helpers):
@@ -224,7 +252,7 @@ def test_an_interrupted_call_kills_its_helpers(study_model, monkeypatch, cores, 
     harness.run_mse_table(small, n_workers=2)
     (pid,) = helper_pids()
 
-    def interrupt(config, column):
+    def interrupt(config, b_n, rs, indices):
         raise KeyboardInterrupt
 
     # the helper's share would take minutes; the caller's is interrupted at once
