@@ -30,10 +30,6 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
-_THREADS_HELP = ("processes that share the table's columns, this one included: 0 = every usable "
-                 "core, 1 = all in this process (default); the output is the same for any value")
-
-
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -125,12 +121,11 @@ def cmd_mse_table(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
 
-    n_valid = sum(1 for row in rows if row.valid and not math.isnan(row.mse))
-    n_invalid = len(rows) - n_valid
+    n_invalid = sum(1 for row in rows if not row.valid or math.isnan(row.mse))
     if n_invalid:
         print(f"warning: {n_invalid} of {len(rows)} rows invalid "
               "(all replications degenerate)", file=sys.stderr)
-    return EXIT_OK if n_valid >= 1 else EXIT_DEGENERATE
+    return EXIT_OK if n_invalid < len(rows) else EXIT_DEGENERATE
 
 
 def cmd_rate_check(args: argparse.Namespace) -> int:
@@ -152,12 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "Poisson processes: simulation, estimation, Monte Carlo tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", required=True, help="JSON experiment config")
+    experiment.add_argument("--seed", type=int, default=None, help="override the config seed")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1, help="processes that share the "
+                         "table's columns, this one included: 0 = every usable core, 1 = all "
+                         "in this process (default); the output is the same for any value")
 
-    p = sub.add_parser("simulate", help="simulate one count path from a config")
-    p.add_argument("--config", required=True, help="JSON experiment config")
+    p = sub.add_parser("simulate", parents=[experiment],
+                       help="simulate one count path from a config")
     p.add_argument("--out", help="output count-series CSV path")
     p.add_argument("--latent-out", help="also write the fine-grid latent path")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--replication", type=int, default=0, help="replication index (default 0)")
     p.set_defaults(func=cmd_simulate)
 
@@ -171,20 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "text"], default="text")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("mse-table", help="run the Monte Carlo grid and write the MSE table")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("mse-table", parents=[experiment, threads],
+                       help="run the Monte Carlo grid and write the MSE table")
     p.add_argument("--out", help="output path (default: config 'out' or stdout)")
     p.add_argument("--format", choices=get_args(io.TableFormat), default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_mse_table)
 
-    p = sub.add_parser("rate-check", help="fit the MSE decay slope for one variant")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("rate-check", parents=[experiment, threads],
+                       help="fit the MSE decay slope for one variant")
     p.add_argument("--variant", action="append", choices=list(harness.VARIANTS),
                    help="variant to check (default 1)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_rate_check)
 
     return parser

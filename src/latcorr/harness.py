@@ -8,14 +8,14 @@ requested xi and CI from the counts with the bits of :func:`estimate_counts`
 (the scalar chain, which the CLI calls), and computes the path-wise truth.  One
 walk (:func:`_column`) runs a range of indices for some ``r`` in chunks of
 :data:`CHUNK` indices stacked over them, ``r``-major: the latent layer (paths,
-counts, truth) in sub-chunks that bound its memory, each substream consumed as
-for one replication alone, then ``S``, every Gamma, ``C``, ``xi`` and the CIs
-of the stack in one pass of numpy columns (:func:`_estimate_tail`), one ``a_n``
-per row.  A table folds each cell's columns in index order and never builds a
-per-replication record; :func:`run_cell` and :func:`run_replication` build
-them from the walk of one ``r``.  :func:`run_mse_table` may share its columns
-out to forked helpers, which reply with them.  No row depends on where, or
-beside which ``r``, it ran.
+counts, truth) in sub-chunks of ``SUB_CHUNK_STEPS // (b_n * m)`` rows (one at
+least), each substream consumed as for its replication alone, then ``S``, every
+Gamma, ``C``, ``xi`` and the CIs of the stack in one pass of numpy columns
+(:func:`_estimate_tail`), one ``a_n`` per row.  A table folds each cell's
+columns in index order and builds no per-replication record; :func:`run_cell`
+and :func:`run_replication` build them from the walk of one ``r``.
+:func:`run_mse_table` may share its columns out to forked helpers, which reply
+with them.  No row depends on where, or beside which ``r``, it ran.
 """
 
 from __future__ import annotations
@@ -54,15 +54,15 @@ VARIANTS = ("1", "2", *estimators.VARIANT_EXPONENTS)
 
 #: Consecutive replication indices estimated together, as one chunk (for every r of a column).
 CHUNK = 8
-#: Bytes of fine-grid work arrays a chunk's latent layer may hold at once: one replication
-#: peaks at about ``_FINE_ROWS`` float64 rows of ``b_n*m`` values, so it runs in sub-chunks of
-#: 32 rows at ``b_n*m`` = 128, 8 at 512, 4 at 1024, 2 at 2048, 1 from 4096 on.  Each array then
-#: stays under glibc's 128 KiB mmap threshold and is reused; 512 KiB left a desk round 0.5 MiB
-#: more resident.
-CHUNK_BYTES = 1 << 18
-_FINE_ROWS = 8
+#: Fine steps a chunk's latent layer works on at once: it runs in sub-chunks of
+#: ``max(1, SUB_CHUNK_STEPS // (b_n * m))`` rows, 32 at ``b_n * m`` = 128, 8 at 512, 1 from 4096.
+#: The largest array binds it: ``oracle._gram_targets``' ``dots``, 3 rows of ``b_n * m + 1``
+#: float64 per replication, 96-120 KiB, under glibc's 128 KiB mmap threshold, so the heap reuses
+#: it (one replication alone passes that from ``b_n * m`` = 5461).  4x the bound ran the desk
+#: study no faster, with a peak RSS 6-7% higher.
+SUB_CHUNK_STEPS = 1 << 12
 #: Most fine steps ``b_n * refinement`` a config may ask for; one replication's latent layer
-#: then holds about ``_FINE_ROWS`` float64 rows of that length, 1 GiB.
+#: then holds about eight float64 rows of that length, 1 GiB.
 MAX_FINE_STEPS = 1 << 24
 
 
@@ -218,10 +218,10 @@ def _latent_layer(config: ExperimentConfig, b_n: int, rs: tuple[float, ...], ind
     """Design (the first r's, whose grid every r shares), the count paths of the replications
     in ``indices`` for each ``r`` of ``rs``, stacked ``r``-major with ``a_n`` one per row, and
     their ``true_R`` and ``true_xi`` arrays; the fine-grid work runs in sub-chunks of at most
-    :data:`CHUNK_BYTES`, each replication's substream consumed as for it alone."""
+    :data:`SUB_CHUNK_STEPS` fine steps, each replication's substream consumed as for it alone."""
     keys = list(itertools.product(rs, indices))
     design = sim.SamplingDesign(b_n=b_n, a_n=a_n[0], m=config.refinement, T=config.model.T)
-    size = max(1, CHUNK_BYTES // (_FINE_ROWS * 8 * b_n * config.refinement))
+    size = max(1, SUB_CHUNK_STEPS // (b_n * config.refinement))
     parts = []
     for k in range(0, len(keys), size):
         rngs = [sim.replication_rng(config.seed, b_n, r, i) for r, i in keys[k:k + size]]
@@ -544,4 +544,6 @@ def rate_check(config: ExperimentConfig, variant: str, n_workers: int = 1) -> fl
     if variant not in config.variants:
         raise ValueError(f"the config runs no variant {variant!r}, only {list(config.variants)}")
     rows = run_mse_table(config, n_workers=n_workers)
+    if len({row.b_n for row in rows if row.valid}) < 3:  # the other sizes' rows are all degenerate
+        raise estimators.DegenerateDataError("replications are live at fewer than 3 grid sizes")
     return fit_rate_slope(rows, variant, config.r[0])

@@ -803,6 +803,9 @@ def _zero_volatility_config(tmp_path):
          "variant,b_n,r,mse,bn_times_mse,degenerate_count,clamped_count,N\n"
          "1,8,-5.0,nan,nan,3,0,3\n2,8,-5.0,nan,nan,3,0,3\nw,8,-5.0,nan,nan,3,0,3\n",
          "warning: 3 of 3 rows invalid (all replications degenerate)\n"),
+        # the same on three grid sizes: rate-check has no live row to fit (it exited 2)
+        (lambda d: ["rate-check", "--config", str(write_config(d, b_n=[8, 16, 32], r=[-5.0]))],
+         3, "", "error: degenerate data: replications are live at fewer than 3 grid sizes\n"),
         (lambda d: ["simulate", "--config", str(write_config(d)),
                     "--out", str(d / "missing" / "counts.csv")], 1, "",
          "error: cannot write output: "),
@@ -813,7 +816,8 @@ def _zero_volatility_config(tmp_path):
          "error: cannot read input: "),
     ],
     ids=["mse-table-zero-volatility", "rate-check-zero-volatility", "mse-table-all-degenerate",
-         "simulate-unwritable-out", "mse-table-unwritable-out", "counts-directory"],
+         "rate-check-all-degenerate", "simulate-unwritable-out", "mse-table-unwritable-out",
+         "counts-directory"],
 )
 def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, argv, code,
                                                               out, err):
@@ -823,6 +827,28 @@ def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == out
     assert captured.err.startswith(err) and captured.err.count("\n") == 1
+
+
+_SHARED_HELP = {
+    "--config": "JSON experiment config",
+    "--seed": "override the config seed",
+    "--threads": "processes that share the table's columns, this one included: 0 = every "
+                 "usable core, 1 = all in this process (default); the output is the same for "
+                 "any value",
+}
+
+
+@pytest.mark.parametrize("command, options", [("simulate", ["--config", "--seed"]),
+                                              ("mse-table", ["--config", "--seed", "--threads"]),
+                                              ("rate-check", ["--config", "--seed", "--threads"])])
+def test_a_shared_option_has_one_help_in_every_subcommand(capsys, command, options):
+    # rate-check's --seed, and --config outside simulate, used to show no help
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help to the terminal
+    for option in options:
+        assert f"{option} {option[2:].upper()} {_SHARED_HELP[option]}" in text, option
 
 
 def _counts_file(d: Path) -> Path:

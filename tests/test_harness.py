@@ -610,6 +610,41 @@ def test_chunks_of_several_fine_grid_sub_chunks_equal_each_row_alone(
         assert _record_hexes(alone.C, alone.results) == _record_hexes(rec.C, rec.results)
 
 
+def _every_output(cfg):
+    """The table's repr at ``n_workers=1`` and every record of every cell, as ``float.hex``."""
+    cells = [[(_hexes(rec), float(rec.true_R).hex(), _record_hexes(rec.C, rec.results))
+              for rec in harness.run_cell(cfg, b_n, r)] for r in cfg.r for b_n in cfg.b_n]
+    rows = harness.run_mse_table(cfg, n_workers=1)
+    return rows, (repr(rows), cells)
+
+
+@pytest.mark.parametrize("grid, count", [
+    (dict(b_n=(16, 256, 1024), r=(3.5, 0.0), replications=9), "degenerate_count"),  # r = 0
+    (dict(b_n=(4, 8), r=(1.0, 2.0), replications=24, seed=7), "clamped_count"),  # v'Gv < 0
+], ids=["degenerate-rows", "clamped-rows"])
+def test_the_sub_chunk_bound_changes_no_row(study_model, monkeypatch, grid, count):
+    cfg = small_config(study_model, variants=harness.VARIANTS, **grid)
+    rows, base = _every_output(cfg)
+    assert any(getattr(row, count) for row in rows)
+    for steps in (1, 2**30):  # one row per sub-chunk; one sub-chunk per chunk
+        monkeypatch.setattr(harness, "SUB_CHUNK_STEPS", steps)
+        assert _every_output(cfg)[1] == base, steps
+
+
+def test_rows_per_sub_chunk_at_each_fine_grid_size(study_model, monkeypatch):
+    sizes = []
+    real = sim.simulate_latent
+    monkeypatch.setattr(sim, "simulate_latent",
+                        lambda params, design, rng: sizes.append(len(rng)) or real(params, design, rng))
+    rows = {}
+    for b_n in (16, 32, 64, 128, 256, 512, 1024):  # b_n * m = 128, 256, ..., 8192
+        sizes.clear()  # a chunk of 8 indices x 4 r: 32 rows
+        harness._column(small_config(study_model, b_n=(b_n,)), b_n, (2.0, 2.5, 3.0, 3.5), range(8))
+        assert len(set(sizes)) == 1 and sum(sizes) == 32, sizes
+        rows[b_n * 8] = sizes[0]
+    assert rows == {128: 32, 256: 16, 512: 8, 1024: 4, 2048: 2, 4096: 1, 8192: 1}
+
+
 @pytest.mark.parametrize("b_n, first_bad", [(256, 3), (512, 1)])  # in a chunk's 2nd sub-chunk
 def test_errors_in_a_later_sub_chunk_surface_in_index_order(study_model, monkeypatch, b_n,
                                                             first_bad):
