@@ -23,7 +23,7 @@ import math
 import sys
 from typing import get_args
 
-from . import estimators, harness, io
+from . import estimators, harness, io, sim
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -38,8 +38,7 @@ def _fail(code: int, message: str) -> int:
 def _load_experiment(args: argparse.Namespace) -> tuple[io.ConfigFile, harness.ExperimentConfig]:
     """Check ``--threads`` (grid commands), load ``--config`` and apply ``--seed``;
     any invalid value, a missing config file included, raises a ValueError."""
-    if getattr(args, "threads", 0) < 0:
-        raise ValueError("--threads must be nonnegative")
+    sim._integer_at_least(getattr(args, "threads", 0), 0, "--threads")
     try:
         cf = io.load_config(args.config)
     except FileNotFoundError:
@@ -57,8 +56,7 @@ def _singleton_cell(exp: harness.ExperimentConfig) -> tuple[int, float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.replication < 0:
-        raise ValueError("--replication must be nonnegative")
+    sim._integer_at_least(args.replication, 0, "--replication")
     cf, exp = _load_experiment(args)
     b_n, r = _singleton_cell(exp)
     design, path, counts = harness.simulate_replication(exp, b_n, r, args.replication)
@@ -78,10 +76,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.a_n) and args.a_n > 0):
-        raise ValueError("--a-n must be a positive finite number")
-    if not 0.0 < args.level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    sim._positive_finite(args.a_n, "--a-n")
+    sim._open_unit(args.level, "--level")
     counts, delta_n, T = io.read_count_series(args.counts)
     if counts.b_n < 4:
         raise ValueError(f"need at least 4 observation intervals, got {counts.b_n}")
@@ -169,13 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", action="append", choices=list(harness.VARIANTS),
                    help="variance-estimator variant (repeatable; default: all)")
     p.add_argument("--level", type=float, default=0.95, help="confidence level (default 0.95)")
-    p.add_argument("--format", choices=["csv", "text"], default="text")
+    p.add_argument("--format", choices=["csv", "text"], default="text",
+                   help="output format (default: text)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("mse-table", parents=[experiment, threads],
                        help="run the Monte Carlo grid and write the MSE table")
     p.add_argument("--out", help="output path (default: config 'out' or stdout)")
-    p.add_argument("--format", choices=get_args(io.TableFormat), default=None)
+    p.add_argument("--format", choices=get_args(io.TableFormat), default=None,
+                   help="table format (default: config 'format' or csv)")
     p.set_defaults(func=cmd_mse_table)
 
     p = sub.add_parser("rate-check", parents=[experiment, threads],

@@ -34,7 +34,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .sim import CountPath, _integer_at_least
+from .sim import CountPath, _integer_at_least, _open_unit, _positive_finite
 
 __all__ = [
     "PAIRS",
@@ -187,6 +187,7 @@ class BandwidthSpec:
     def resolve(self, b_n: int, T: float) -> tuple[float, int]:
         """Return ``(h, n_h)`` for a given grid."""
         _integer_at_least(b_n, 2, "b_n")
+        _positive_finite(T, "T")
         h = self.h if self.h is not None else T * float(b_n) ** (-self.exponent)
         if not 0.0 < h <= T:
             raise ValueError(f"bandwidth h={h} outside (0, T]")
@@ -210,11 +211,8 @@ class ConfidenceInterval:
 
 
 def _tilde_scale(a_n: float, delta_n: float) -> float:
-    if not (a_n > 0 and math.isfinite(a_n)):
-        raise ValueError("a_n must be positive and finite")
-    if not (delta_n > 0 and math.isfinite(delta_n)):
-        raise ValueError("delta_n must be positive and finite")
-    product = a_n * delta_n  # finite factors, but the product can under- or overflow
+    # finite factors, but the product can under- or overflow
+    product = _positive_finite(a_n, "a_n") * _positive_finite(delta_n, "delta_n")
     scale = 1.0 / product if product > 0.0 else math.inf
     if not 0.0 < scale < math.inf:
         raise ValueError(f"a_n * delta_n = {product!r} gives no finite nonzero scale")
@@ -268,12 +266,6 @@ def estimate_correlation(S: CovEstimate) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def _positive_T(T: float) -> float:
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive and finite, got {T!r}")
-    return T
-
-
 def pairmap(G: np.ndarray) -> np.ndarray:
     """Map 3x3 Gram matrices of pair series, shape ``(..., 3, 3)``, to Gamma form.
 
@@ -295,7 +287,8 @@ def gamma_v1(tilde: TildeSeries, T: float) -> GammaMatrix:
     """
     P = tilde.pair_products
     X = P[..., :-2] @ P[..., 2:].mT
-    return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / _positive_T(T) * (P @ P.mT - 0.5 * (X + X.mT)))
+    scale = 9.0 / 8.0 * tilde.b_n / _positive_finite(T, "T")
+    return GammaMatrix(values=scale * (P @ P.mT - 0.5 * (X + X.mT)))
 
 
 def gamma_v2(tilde: TildeSeries, T: float) -> GammaMatrix:
@@ -307,7 +300,8 @@ def gamma_v2(tilde: TildeSeries, T: float) -> GammaMatrix:
     """
     P = tilde.pair_products
     delta = P[..., 2:] - P[..., :-2]
-    return GammaMatrix(values=9.0 / 8.0 * tilde.b_n / _positive_T(T) * 0.5 * (delta @ delta.mT))
+    scale = 9.0 / 8.0 * tilde.b_n / _positive_finite(T, "T")
+    return GammaMatrix(values=scale * 0.5 * (delta @ delta.mT))
 
 
 def kernel_partial(
@@ -449,15 +443,14 @@ def confidence_interval(
     Returns both the raw interval and its intersection with [-1, 1], with
     flags recording whether either endpoint was clipped.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    _open_unit(level, "level")
     _integer_at_least(b_n, 2, "b_n")
     if not math.isfinite(C):
         raise ValueError(f"C must be finite, got {C!r}")
     xi_val = xi.xi if isinstance(xi, XiValue) else float(xi)
     if not 0.0 <= xi_val < math.inf:
         raise ValueError(f"xi must be nonnegative and finite, got {xi_val!r}")
-    _positive_T(T)
+    _positive_finite(T, "T")
     return _interval(C, _normal_quantile(level) * math.sqrt(xi_val * T / b_n), level)
 
 

@@ -114,8 +114,7 @@ class ExperimentConfig:
         if max(self.b_n) * self.refinement > MAX_FINE_STEPS:
             raise ValueError(f"b_n * refinement = {max(self.b_n)} * {self.refinement} fine steps "
                              f"is above the cap of {MAX_FINE_STEPS}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("ci_level must lie strictly between 0 and 1")
+        sim._open_unit(self.ci_level, "ci_level")
         bad = [v for v in self.bandwidth_overrides if v not in estimators.VARIANT_EXPONENTS]
         if bad:
             raise ValueError(f"bandwidth_overrides only apply to kernel variants, got {bad}")
@@ -270,10 +269,8 @@ def estimate_counts(
     is out of range.
     """
     _reject_repeats(variants)
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError("T must be positive and finite")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    sim._positive_finite(T, "T")
+    sim._open_unit(level, "level")
     S, gammas = _estimate_arrays(counts, a_n, delta_n, T, variants, bandwidth_overrides)
     with np.errstate(over="ignore", invalid="ignore"):  # estimate_xi raises on a non-finite v'Gv
         C = estimators.estimate_correlation(S)
@@ -343,8 +340,7 @@ def run_replication(
     (S11*S22 = 0) is flagged, not fatal; a degenerate model (zero volatility)
     aborts immediately.
     """
-    if index < 0:
-        raise ValueError(f"index must be nonnegative, got {index}")
+    sim._integer_at_least(index, 0, "index")
     return _records(config, b_n, r, range(index, index + 1))[0]
 
 
@@ -358,8 +354,7 @@ def run_cell(
     column (:func:`run_mse_table`).  ``n_workers`` is accepted for symmetry with
     it and validated.
     """
-    if n_workers < 0:
-        raise ValueError("n_workers must be nonnegative")
+    sim._integer_at_least(n_workers, 0, "n_workers")
     return _records(config, b_n, r, range(config.replications))
 
 
@@ -408,8 +403,7 @@ def run_mse_table(config: ExperimentConfig, n_workers: int = 1) -> list[MseRow]:
     order, so an error raised is the serial loop's.  The rows are bit-identical
     for any value.
     """
-    if n_workers < 0:
-        raise ValueError("n_workers must be nonnegative")
+    sim._integer_at_least(n_workers, 0, "n_workers")
     shared = n_workers != 1 and _CAN_FORK and threading.active_count() == 1
     done = _run_shared(config, n_workers if shared else 1)
     rows, indices = [], range(config.replications)

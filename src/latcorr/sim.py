@@ -47,6 +47,20 @@ def _integer_at_least(value, least: int, name: str) -> int:
     return int(value)
 
 
+def _positive_finite(value, name: str):
+    """``value`` if it is positive and finite, else a ValueError that starts with ``name``."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _open_unit(value, name: str):
+    """``value`` if it lies in (0, 1), else a ValueError that starts with ``name``."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the bivariate GBM intensity model on [0, T]."""
@@ -73,11 +87,8 @@ class ModelParams:
                 raise ValueError(f"{name} = {sigma!r} is too large: its square overflows a float")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
-        for name in ("x1_0", "x2_0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} (an initial intensity) must be positive")
-        if self.T <= 0:
-            raise ValueError("T (the horizon) must be positive")
+        for name in ("x1_0", "x2_0", "T"):
+            _positive_finite(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -95,11 +106,9 @@ class SamplingDesign:
 
     def __post_init__(self):
         _integer_at_least(self.b_n, 4, "b_n")
-        if not (self.a_n > 0 and math.isfinite(self.a_n)):
-            raise ValueError("a_n must be positive and finite")
+        _positive_finite(self.a_n, "a_n")
         _integer_at_least(self.m, 1, "refinement m")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError("horizon T must be positive and finite")
+        _positive_finite(self.T, "T")
 
     @property
     def delta_n(self) -> float:
@@ -325,8 +334,7 @@ def validate_regime(b_n: int, a_n: float) -> RegimeReport:
     satisfied.
     """
     _integer_at_least(b_n, 4, "b_n")
-    if not 0 < a_n < math.inf:
-        raise ValueError(f"a_n must be positive and finite, got {a_n!r}")
+    _positive_finite(a_n, "a_n")
     r = math.log(a_n) / math.log(b_n)
     # Guard band keeps exact boundary cases (a_n = b_n^2.5) classified as
     # "not satisfied" despite rounding in the log ratio.

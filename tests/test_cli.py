@@ -525,9 +525,9 @@ def test_unreadable_input_exits_without_traceback(tmp_path, command, make_input,
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--a-n", "nan", "--a-n must be a positive finite number"),
-     ("--a-n", "-1", "--a-n must be a positive finite number"),
-     ("--level", "1.5", "level must lie strictly between 0 and 1")],
+    [("--a-n", "nan", "--a-n must be positive and finite, got nan"),
+     ("--a-n", "-1", "--a-n must be positive and finite, got -1.0"),
+     ("--level", "1.5", "--level must lie strictly between 0 and 1, got 1.5")],
 )
 def test_estimate_checks_arguments_before_reading_counts(tmp_path, capsys, flag, value,
                                                          message):
@@ -535,6 +535,65 @@ def test_estimate_checks_arguments_before_reading_counts(tmp_path, capsys, flag,
     argv = ["estimate", "--counts", str(tmp_path / "missing.csv"), "--a-n", "1", flag, value]
     assert cli.main(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+_COUNTS = sim.CountPath(y1=np.arange(17), y2=2 * np.arange(17))
+_TILDE = estimators.tilde_series(_COUNTS, 10.0, 1 / 16)
+
+
+def _model_key(tmp_path, key, value):
+    model = json.loads(write_config(tmp_path).read_text())["model"]
+    io.load_config(str(write_config(tmp_path, model={**model, key: value})))
+
+
+#: Every argument that sim._positive_finite or sim._open_unit checks, as (site, name the message
+#: starts with, rule, call with the value): "model." names a key of a config file, "--" a flag.
+_CHECKED = [
+    *[(f"config-{key}", f"model.{key}", "positive", lambda v, d, key=key: _model_key(d, key, v))
+      for key in ("x1_0", "x2_0", "T")],
+    ("design-a_n", "a_n", "positive", lambda v, d: sim.SamplingDesign(b_n=8, a_n=v)),
+    ("design-T", "T", "positive", lambda v, d: sim.SamplingDesign(b_n=8, a_n=10.0, T=v)),
+    ("validate_regime-a_n", "a_n", "positive", lambda v, d: sim.validate_regime(16, v)),
+    ("tilde-a_n", "a_n", "positive", lambda v, d: estimators.tilde_series(_COUNTS, v, 1 / 16)),
+    ("tilde-delta_n", "delta_n", "positive",
+     lambda v, d: estimators.tilde_series(_COUNTS, 10.0, v)),
+    ("gamma_v1-T", "T", "positive", lambda v, d: estimators.gamma_v1(_TILDE, v)),
+    ("gamma_v2-T", "T", "positive", lambda v, d: estimators.gamma_v2(_TILDE, v)),
+    ("gamma_kernel-T", "T", "positive", lambda v, d: estimators.gamma_kernel(
+        _TILDE, v, estimators.BandwidthSpec.from_exponent(0.5))),
+    ("interval-T", "T", "positive", lambda v, d: estimators.confidence_interval(0.5, 0.1, 16, v)),
+    ("estimate_counts-T", "T", "positive",
+     lambda v, d: harness.estimate_counts(_COUNTS, 10.0, 1 / 16, v, ["1"], 0.95)),
+    ("estimate-a_n", "--a-n", "positive",
+     lambda v, d: cli.main(["estimate", "--counts", str(d / "missing.csv"), "--a-n", repr(v)])),
+    ("config-ci_level", "ci_level", "unit",
+     lambda v, d: io.load_config(str(write_config(d, ci_level=v)))),
+    ("interval-level", "level", "unit",
+     lambda v, d: estimators.confidence_interval(0.5, 0.1, 16, 1.0, v)),
+    ("estimate_counts-level", "level", "unit",
+     lambda v, d: harness.estimate_counts(_COUNTS, 10.0, 1 / 16, 1.0, ["1"], v)),
+    ("estimate-level", "--level", "unit", lambda v, d: cli.main(
+        ["estimate", "--counts", str(d / "missing.csv"), "--a-n", "1", "--level", repr(v)])),
+]
+_RULES = {"positive": (" must be positive and finite", [math.nan, math.inf, 0.0, -1.0]),
+          "unit": (" must lie strictly between 0 and 1", [0.0, 1.0, math.nan])}
+
+
+@pytest.mark.parametrize("site, name, rule, call, value", [
+    pytest.param(site, name, rule, call, value, id=f"{site}-{value}")
+    for site, name, rule, call in _CHECKED
+    # a non-finite model value meets the finite rule that all of ModelParams' fields share first
+    for value in (_RULES[rule][1] if not name.startswith("model.") else [0.0, -1.0])])
+def test_each_rule_has_one_wording_at_every_site(tmp_path, capsys, site, name, rule, call,
+                                                 value):
+    message = f"{name}{_RULES[rule][0]}, got {value!r}"
+    if name.startswith("--"):  # before the counts file is read: one error line, exit 2
+        assert call(value, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    with pytest.raises(io.ConfigError if site.startswith("config-") else ValueError) as info:
+        call(value, tmp_path)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -849,6 +908,16 @@ def test_a_shared_option_has_one_help_in_every_subcommand(capsys, command, optio
     text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help to the terminal
     for option in options:
         assert f"{option} {option[2:].upper()} {_SHARED_HELP[option]}" in text, option
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("mse-table", "--format {csv,md} table format (default: config 'format' or csv)"),
+    ("estimate", "--format {csv,text} output format (default: text)")])
+def test_format_help_names_its_default(capsys, command, entry):
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "--help"])
+    assert done.value.code == 0
+    assert entry in " ".join(capsys.readouterr().out.split())
 
 
 def _counts_file(d: Path) -> Path:

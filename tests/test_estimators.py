@@ -547,9 +547,16 @@ def test_confidence_interval_rejects_non_finite_inputs(C, xi, T, name):
         est.confidence_interval(C, xi, 16, T)
 
 
-@pytest.mark.parametrize("gamma", [est.gamma_v1, est.gamma_v2])
+@pytest.mark.parametrize("gamma", [
+    est.gamma_v1, est.gamma_v2,
+    lambda tilde, T: est.gamma_kernel(tilde, T, est.BandwidthSpec.explicit(0.1)),
+    lambda tilde, T: est.gamma_kernel(tilde, T, est.BandwidthSpec.from_exponent(0.5)),
+    lambda tilde, T: est.kernel_partial(tilde.pair_products[0], 4, est.BandwidthSpec.explicit(0.1),
+                                        tilde.b_n, T),
+], ids=["v1", "v2", "kernel-h", "kernel-exponent", "kernel_partial"])
 @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
-def test_quadratic_gammas_reject_a_non_positive_or_non_finite_T(gamma, T, rng):
+def test_gammas_reject_a_non_positive_or_non_finite_T(gamma, T, rng):
+    # an infinite T once gave the kernel an all-inf Gamma, or a NaN window length
     with pytest.raises(ValueError, match="^T must be positive and finite"):
         gamma(random_tilde(rng, 8), T)
 

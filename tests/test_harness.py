@@ -77,8 +77,25 @@ class TestRunReplication:
             raise AssertionError("a substream was built")
 
         monkeypatch.setattr(sim, "replication_rng", no_draw)
-        with pytest.raises(ValueError, match="^index must be nonnegative, got -1$"):
+        with pytest.raises(ValueError, match="^index must be an integer of at least 0, got -1$"):
             harness.run_replication(small_config(study_model), 16, 3.0, -1)
+
+    @pytest.mark.parametrize("value", [math.nan, 2.5, -1])
+    @pytest.mark.parametrize("run, arg", [
+        (lambda cfg, v: harness.run_replication(cfg, 16, 3.0, v), "index"),
+        (lambda cfg, v: harness.run_cell(cfg, 16, 3.0, n_workers=v), "n_workers"),
+        (lambda cfg, v: harness.run_mse_table(cfg, n_workers=v), "n_workers"),
+    ], ids=["run_replication", "run_cell", "run_mse_table"])
+    def test_counts_must_be_integers_of_at_least_0_before_any_draw(
+            self, study_model, monkeypatch, run, arg, value):
+        # n_workers = nan once ran a cell, or ended a table in a TypeError
+        def refuse(*args):
+            raise AssertionError("a substream was built, or a helper forked")
+
+        monkeypatch.setattr(sim, "replication_rng", refuse)
+        monkeypatch.setattr(harness.os, "fork", refuse)
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer of at least 0, got "):
+            run(small_config(study_model), value)
 
     def test_record_contents(self, study_model):
         cfg = small_config(study_model)
