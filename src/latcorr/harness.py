@@ -25,7 +25,6 @@ import functools
 import itertools
 import math
 import os
-import pickle
 import threading
 from dataclasses import dataclass, field
 
@@ -104,6 +103,12 @@ class ExperimentConfig:
                 a_n = math.inf
             if not 0.0 < a_n < math.inf:
                 raise ValueError(f"r={r} gives a_n = {b_n}**r = {a_n}, not a finite positive float")
+        keys: dict[int, float] = {}
+        for r in self.r:  # each r its own substreams: no two may round to one 1/1000
+            if (key := sim._r_key(r)) in keys:
+                raise ValueError(f"r={keys[key]} and r={r} share one substream key "
+                                 "(round(1000*r)), so their cells would share every draw")
+            keys[key] = r
         if not self.variants:
             raise ValueError("variants list must be nonempty")
         unknown = [v for v in self.variants if v not in VARIANTS]
@@ -195,11 +200,19 @@ def simulate_replication(
     """Latent path and count path of one replication of one grid cell.
 
     Deterministic given ``(config.seed, b_n, r, index)``: the replication's
-    substream is consumed by the latent normals, then the Poisson draws.
+    substream is consumed by the latent normals, then the Poisson draws.  A
+    cell off the config's grid raises ValueError before any draw.
     """
+    _check_cell(config, b_n, r)
     design = sim.SamplingDesign(b_n=b_n, a_n=float(b_n) ** r, m=config.refinement, T=config.model.T)
     rng = sim.replication_rng(config.seed, b_n, r, index)
     return (design, *_simulate(config.model, design, design.a_n, rng))
+
+
+def _check_cell(config: ExperimentConfig, b_n: int, r: float) -> None:
+    """Raise a ValueError unless ``(b_n, r)`` is a cell of ``config``'s checked grid."""
+    if b_n not in config.b_n or r not in config.r:
+        raise ValueError(f"cell (b_n={b_n!r}, r={r!r}) is not in the config's grid")
 
 
 def _simulate(model: sim.ModelParams, design: sim.SamplingDesign, a_n, rng):
@@ -316,6 +329,7 @@ def _records(config: ExperimentConfig, b_n: int, r: float,
              indices: range) -> list[ReplicationRecord]:
     """The records of one cell's replications in ``indices``, built from :func:`_column`'s
     columns: ``xi = max(v'Gv, 0)`` and the CI ``C -+ half`` of each live row."""
+    _check_cell(config, b_n, r)
     C, raw, half, mask, true_R, true_xi = (c[..., 0, :]
                                            for c in _column(config, b_n, (r,), indices))
     return [ReplicationRecord(
@@ -416,14 +430,14 @@ def run_mse_table(config: ExperimentConfig, n_workers: int = 1) -> list[MseRow]:
     return rows
 
 
-# A helper is an os.fork child, kept for later tables, that reads pickled (config, columns)
-# commands from a pipe and writes back every column's walk (_column), or exits if one raises.
-# It ignores SIGINT and exits at the end of its command pipe, so when the caller exits.  Any
-# failure of a shared table kills every helper, so none is left at work on it.  A helper
-# keeps the functions it was forked with: code that monkeypatches them passes n_workers=1 or
-# calls _stop_helpers.
+# A helper is an os.fork child, kept for later tables, that receives (config, columns) commands
+# on its end of one duplex multiprocessing.Pipe and sends back every column's walk (_column),
+# or exits if one raises.  It ignores SIGINT and exits at the end of its pipe, so when the
+# caller exits.  Any failure of a shared table kills every helper, so none is left at work on
+# it.  A helper keeps the functions it was forked with: code that monkeypatches them passes
+# n_workers=1 or calls _stop_helpers.
 _CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-_helpers: list = []  # (pid, command pipe, reply pipe) of each live helper
+_helpers: list = []  # (pid, the caller's end of its pipe) of each live helper
 
 
 def _shares(config: ExperimentConfig, n_workers: int) -> list[list[int]]:
@@ -453,13 +467,12 @@ def _run_shared(config: ExperimentConfig, n_workers: int) -> dict:
     try:
         while len(_helpers) < len(others):
             _helpers.append(_start_helper())
-        for (_, commands, _), share in zip(_helpers, others):
-            pickle.dump((config, share), commands, pickle.HIGHEST_PROTOCOL)
-            commands.flush()
+        for (_, pipe), share in zip(_helpers, others):
+            pipe.send((config, share))
         for column in own:
             done[column] = _column(config, config.b_n[column], config.r, indices)
-        for (_, _, replies), share in zip(_helpers, others):
-            done.update(zip(share, pickle.load(replies)))
+        for (_, pipe), share in zip(_helpers, others):
+            done.update(zip(share, pipe.recv()))
     except Exception:
         _stop_helpers()
     except BaseException:
@@ -469,42 +482,37 @@ def _run_shared(config: ExperimentConfig, n_workers: int) -> dict:
 
 
 def _start_helper() -> tuple:
-    import signal  # only helpers need it; kept off `import latcorr`
+    import signal  # only helpers need these; kept off `import latcorr`
+    from multiprocessing import Pipe
 
-    fds = (cmd_r, cmd_w, rep_r, rep_w) = os.pipe() + os.pipe()
+    pipe, end = Pipe()
     try:
         pid = os.fork()
     except OSError:
-        for fd in fds:
-            os.close(fd)
+        pipe.close()
+        end.close()
         raise
     if pid:
-        os.close(cmd_r)
-        os.close(rep_w)
-        return pid, open(cmd_w, "wb"), open(rep_r, "rb")
+        end.close()
+        return pid, pipe
     try:  # the helper
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        os.close(cmd_w)  # or its command pipe would never end
-        os.close(rep_r)
-        commands, replies = open(cmd_r, "rb"), open(rep_w, "wb")
-        while True:  # until EOFError at the end of the commands, or a column that raises
-            config, columns = pickle.load(commands)
-            pickle.dump([_column(config, config.b_n[column], config.r, range(config.replications))
-                         for column in columns], replies, pickle.HIGHEST_PROTOCOL)
-            replies.flush()
+        pipe.close()  # or recv would not end when the caller closes its end
+        while True:  # until EOFError at the end of the pipe, or a column that raises
+            config, columns = end.recv()
+            end.send([_column(config, config.b_n[column], config.r, range(config.replications))
+                      for column in columns])
     finally:
         os._exit(0)
 
 
 def _stop_helpers(kill: bool = True) -> None:
-    """Close this process's ends of every helper's pipes; with ``kill``, kill and reap each."""
+    """Close this process's end of every helper's pipe; with ``kill``, kill and reap each."""
     import signal
 
     while _helpers:
-        pid, *pipes = _helpers.pop()
-        for pipe in pipes:
-            with contextlib.suppress(OSError):  # a command left unsent on a broken pipe
-                pipe.close()
+        pid, pipe = _helpers.pop()
+        pipe.close()
         with contextlib.suppress(OSError):  # gone already, or reaped elsewhere
             if kill:
                 os.kill(pid, signal.SIGKILL)

@@ -158,13 +158,15 @@ def serialize_config(cf: ConfigFile) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items() if v is not None}
 
 
-def write_count_series(path: str, counts: CountPath, delta_n: float) -> None:
-    """Write cumulative counts as CSV with header ``t,y1,y2``."""
+def _write_csv(path: str, header: list[str], *columns: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "y1", "y2"])
-        for j in range(len(counts.y1)):
-            writer.writerow([repr(j * delta_n), int(counts.y1[j]), int(counts.y2[j])])
+        writer.writerows([header, *zip(*map(np.ndarray.tolist, columns))])
+
+
+def write_count_series(path: str, counts: CountPath, delta_n: float) -> None:
+    """Write cumulative counts as CSV with header ``t,y1,y2``."""
+    _write_csv(path, ["t", "y1", "y2"], np.arange(len(counts.y1)) * delta_n, counts.y1, counts.y2)
 
 
 def read_count_series(path: str) -> tuple[CountPath, float, float]:
@@ -247,12 +249,7 @@ def _first_bad_line(path: str) -> str | None:
 
 def write_latent_path(path: str, latent: LatentPath) -> None:
     """Write the fine-grid latent path as CSV with header ``s,x1,x2``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["s", "x1", "x2"])
-        for i in range(latent.n_nodes):
-            writer.writerow([repr(float(latent.times[i])),
-                             repr(float(latent.x1[i])), repr(float(latent.x2[i]))])
+    _write_csv(path, ["s", "x1", "x2"], latent.times, latent.x1, latent.x2)
 
 
 def mse_table_csv(rows: list[MseRow]) -> str:

@@ -178,16 +178,22 @@ class RegimeReport:
     notes: str = field(default="", compare=False)
 
 
+def _r_key(r: float) -> int:
+    """The part of a substream's spawn key that ``r`` gives: ``round(1000*r) mod 2^32``, so two
+    ``r`` that round to the same 1/1000 share their draws."""
+    return int(round(1000.0 * r)) & 0xFFFFFFFF
+
+
 def replication_rng(root_seed: int, b_n: int, r: float, index: int) -> np.random.Generator:
     """Independent substream for one replication of one experiment cell.
 
-    The spawn key is ``(b_n, round(1000*r) mod 2^32, index)``, so a cell's
-    streams are reproducible across runs and independent across cells and
-    replications.  Within a replication the stream is consumed in a fixed
-    order: first the latent-path normals (one ``(2, b_n*m)`` block), then the
-    count Poisson draws (one ``(2, b_n)`` block).
+    The spawn key is ``(b_n, _r_key(r), index)``, so a cell's streams are
+    reproducible across runs and independent across cells and replications
+    (a config rejects two ``r`` of one key).  Within a replication the stream
+    is consumed in a fixed order: first the latent-path normals (one
+    ``(2, b_n*m)`` block), then the count Poisson draws (one ``(2, b_n)`` block).
     """
-    key = (int(b_n), int(round(1000.0 * r)) & 0xFFFFFFFF, int(index))
+    key = (int(b_n), _r_key(r), int(index))
     # what default_rng builds from a SeedSequence, without its dispatch on the seed's type
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(root_seed, spawn_key=key)))
 

@@ -327,6 +327,20 @@ def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, model_patch, ov
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["mse-table", "rate-check"])
+@pytest.mark.parametrize("rs", [[3.0, 3.0004], [3.0, 3.0]])
+def test_two_r_of_one_substream_exit_2_naming_both(tmp_path, capsys, command, rs):
+    # they once ran as two cells on the same latent paths and truth
+    cfg = write_config(tmp_path, b_n=[8, 16, 32], r=rs)
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if command != "rate-check" else []
+    assert cli.main([command, "--config", str(cfg), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"error: r={rs[0]} and r={rs[1]} share one substream key "
+                            "(round(1000*r)), so their cells would share every draw\n")
+
+
 WRONG_TYPED = {
     "model": 1, "b_n": "8", "r": "3.0", "variants": "w", "replications": "3", "seed": 1.5,
     "refinement": "4", "ci_level": "0.9", "bandwidth_overrides": [0.3], "out": 1,

@@ -52,6 +52,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"^(every )?{field} must be an integer"):
             small_config(study_model, **{field: value})
 
+    @pytest.mark.parametrize("rs, first, second", [
+        ((3.0, 3.0004), "3.0", "3.0004"), ((2.0, 3.0, 2.0), "2.0", "2.0"),
+        ((3.0, 2.9995), "3.0", "2.9995")])
+    def test_rejects_two_r_of_one_substream_naming_both(self, study_model, rs, first, second):
+        # both would key the same substreams: the same latent paths and truth in two cells
+        assert sim._r_key(float(first)) == sim._r_key(float(second))
+        with pytest.raises(ValueError, match=rf"^r={first} and r={second} share one substream"):
+            small_config(study_model, r=rs)
+
+    def test_accepts_r_a_thousandth_apart(self, study_model):
+        cfg = small_config(study_model, r=(3.0, 3.001, 2.999))
+        assert len({sim._r_key(r) for r in cfg.r}) == 3
+
     def test_accepts_numpy_integers_as_python_ints(self, study_model):
         cfg = small_config(study_model, b_n=(np.int64(16),), replications=np.int32(2))
         assert cfg.b_n == (16,) and type(cfg.b_n[0]) is int
@@ -96,6 +109,23 @@ class TestRunReplication:
         monkeypatch.setattr(harness.os, "fork", refuse)
         with pytest.raises(ValueError, match=f"^{arg} must be an integer of at least 0, got "):
             run(small_config(study_model), value)
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg, b_n, r: harness.run_replication(cfg, b_n, r, 0),
+        lambda cfg, b_n, r: harness.run_cell(cfg, b_n, r),
+        lambda cfg, b_n, r: harness.simulate_replication(cfg, b_n, r, 0),
+    ], ids=["run_replication", "run_cell", "simulate_replication"])
+    @pytest.mark.parametrize("b_n, r", [(16, 400.0), (16, 2.0), (8, 3.0), (8192, 3.0)])
+    def test_a_cell_off_the_grid_is_rejected_before_any_draw(self, study_model, monkeypatch,
+                                                             run, b_n, r):
+        # (16, 400.0) once ended in an OverflowError, and b_n 8192 would pass the fine-step cap
+        def refuse(*args):
+            raise AssertionError("a substream was built")
+
+        monkeypatch.setattr(sim, "replication_rng", refuse)
+        cfg = small_config(study_model, refinement=1 << 12)
+        with pytest.raises(ValueError, match=rf"^cell \(b_n={b_n}, r={r}\) is not in the "):
+            run(cfg, b_n, r)
 
     def test_record_contents(self, study_model):
         cfg = small_config(study_model)

@@ -8,6 +8,7 @@ helper outlives the module state it was forked with.
 import dataclasses
 import os
 import signal
+import socket
 import subprocess
 import sys
 import textwrap
@@ -221,6 +222,20 @@ def test_a_killed_helper_leaves_the_next_rows_unchanged(study_model, cores, fres
     assert repr(harness.run_mse_table(cfg, n_workers=2)) == base
     assert pid not in helper_pids()
     assert repr(harness.run_mse_table(cfg, n_workers=2)) == base  # with a new helper
+    assert len(helper_pids()) == 1
+
+
+def test_a_reply_larger_than_the_socket_buffers_comes_back_whole(study_model, cores,
+                                                                 fresh_helpers):
+    # the helper's column replies 8000 x 13 float64 and a bool, about 840 KB: its send blocks
+    # until the caller, done with its own column, reads it
+    cfg = config(study_model, b_n=(4, 4), variants=harness.VARIANTS, replications=8000)
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        buffers = (sender.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+                   + receiver.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF))
+    assert 8000 * 13 * 8 > buffers
+    assert repr(harness.run_mse_table(cfg, n_workers=2)) == repr(harness.run_mse_table(cfg))
     assert len(helper_pids()) == 1
 
 
