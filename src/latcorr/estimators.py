@@ -28,6 +28,7 @@ weights ``v = (1/sqrt(S11 S22), -S12/(2 sqrt(S11^3 S22)),
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from statistics import NormalDist
@@ -219,11 +220,13 @@ def _tilde_scale(a_n: float, delta_n: float) -> float:
     return scale
 
 
-def tilde_series(counts: CountPath, a_n: float | list[float], delta_n: float) -> TildeSeries:
+def tilde_series(counts: CountPath, a_n: float | Sequence[float], delta_n: float) -> TildeSeries:
     """Convert cumulative counts, with any leading axes, to rate-normalized increments;
-    ``a_n`` is a float, or a list with one per row of counts with one leading axis."""
-    scale = (np.array([[_tilde_scale(a, delta_n)] for a in a_n]) if isinstance(a_n, list)
-             else _tilde_scale(a_n, delta_n))  # each in Python floats, as for one row alone
+    ``a_n`` is one value, or a sequence (list, tuple or 1-d array) with one per leading row."""
+    scale = np.reshape([_tilde_scale(a, delta_n) for a in np.ravel(a_n).tolist()],
+                       np.shape(a_n) + (1,))  # each in Python floats, as for one row alone
+    if scale.shape[:-1] not in ((), counts.y1.shape[:-1]):
+        raise ValueError(f"a_n must be one value or one per row of {counts.y1.shape[:-1]}")
     rows = np.empty((2,) + counts.y1.shape[:-1] + (counts.b_n,))
     for row, y in zip(rows, (counts.y1, counts.y2)):
         np.subtract(y[..., 1:], y[..., :-1], out=row)  # int64 differences cast once, as np.diff's

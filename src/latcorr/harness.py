@@ -199,10 +199,11 @@ def simulate_replication(
 ) -> tuple[sim.SamplingDesign, sim.LatentPath, sim.CountPath]:
     """Latent path and count path of one replication of one grid cell.
 
-    Deterministic given ``(config.seed, b_n, r, index)``: the replication's
-    substream is consumed by the latent normals, then the Poisson draws.  A
-    cell off the config's grid raises ValueError before any draw.
+    Deterministic given ``(config.seed, b_n, r, index)``: the replication's substream is
+    consumed by the latent normals, then the Poisson draws.  A cell off the config's grid, or
+    an ``index`` that is not an integer of at least 0, raises ValueError before any draw.
     """
+    sim._integer_at_least(index, 0, "index")
     _check_cell(config, b_n, r)
     design = sim.SamplingDesign(b_n=b_n, a_n=float(b_n) ** r, m=config.refinement, T=config.model.T)
     rng = sim.replication_rng(config.seed, b_n, r, index)
@@ -217,8 +218,8 @@ def _check_cell(config: ExperimentConfig, b_n: int, r: float) -> None:
 
 def _simulate(model: sim.ModelParams, design: sim.SamplingDesign, a_n, rng):
     """Latent path and counts on ``design``'s grid of the replication whose generator is
-    ``rng``, or of a list of generators with ``a_n`` one float per generator: the path and
-    the counts then have a leading replication axis."""
+    ``rng``, or of a sequence (list, tuple or 1-d array) of generators with ``a_n`` one value
+    or one per generator: the path and the counts then have a leading replication axis."""
     with np.errstate(over="ignore"):  # an overflow gives inf, which simulate_counts rejects
         path = sim.simulate_latent(model, design, rng)
         counts = sim.simulate_counts(sim.integrated_intensity(path, design), a_n, rng)
@@ -246,7 +247,7 @@ def _latent_layer(config: ExperimentConfig, b_n: int, rs: tuple[float, ...], ind
 
 def _estimate_arrays(counts: sim.CountPath, a_n, delta_n, T, variants, overrides):
     """``S`` and ``{variant: Gamma}`` of :func:`estimate_counts`, over any leading axes; ``a_n``
-    is a float or one per row (:func:`estimators.tilde_series`)."""
+    is one value or one per leading row (:func:`estimators.tilde_series`)."""
     with np.errstate(over="ignore", invalid="ignore"):  # the tail flags an overflow's row
         tilde = estimators.tilde_series(counts, a_n, delta_n)
         return estimators.estimate_S(tilde), {
@@ -271,7 +272,6 @@ def _estimate_tail(S, gammas, b_n: int, T: float, level: float):
 def estimate_counts(
     counts: sim.CountPath, a_n: float, delta_n: float, T: float,
     variants: tuple[str, ...] | list[str], level: float,
-    bandwidth_overrides: dict[str, float] | None = None,
 ) -> tuple[float, dict[str, VariantResult]]:
     """Correlation estimate ``C`` and, per variant, ``xi`` and its CI, from the scalar chain
     estimate_correlation -> estimate_xi -> confidence_interval.
@@ -284,7 +284,7 @@ def estimate_counts(
     _reject_repeats(variants)
     sim._positive_finite(T, "T")
     sim._open_unit(level, "level")
-    S, gammas = _estimate_arrays(counts, a_n, delta_n, T, variants, bandwidth_overrides)
+    S, gammas = _estimate_arrays(counts, a_n, delta_n, T, variants, None)
     with np.errstate(over="ignore", invalid="ignore"):  # estimate_xi raises on a non-finite v'Gv
         C = estimators.estimate_correlation(S)
         xis = {v: estimators.estimate_xi(S, G) for v, G in gammas.items()}

@@ -217,7 +217,7 @@ def simulate_latent(
     params : ModelParams
     design : SamplingDesign
         Must share the horizon ``T`` with ``params``.
-    rng : numpy.random.Generator, or a sequence of R of them
+    rng : numpy.random.Generator, or a sequence (list, tuple or 1-d array) of R of them
         Each consumes exactly one ``(2, b_n*m)`` block of standard normals.
         A sequence simulates R paths at once: the path arrays then have a
         leading axis of length R, and path k equals the one simulated from
@@ -233,9 +233,8 @@ def simulate_latent(
     dt = params.T / n
     sqdt = math.sqrt(dt)
 
-    one = isinstance(rng, np.random.Generator)
-    z = np.empty((2, n) if one else (len(rng), 2, n))
-    for g, out in [(rng, z)] if one else zip(rng, z):
+    z = np.empty(np.shape(rng) + (2, n))
+    for g, out in zip(np.ravel(rng), z.reshape(-1, 2, n), strict=True):
         g.standard_normal(out=out)
     z[..., 1, :] *= math.sqrt(1.0 - params.rho**2)
     z[..., 1, :] += params.rho * z[..., 0, :]
@@ -284,7 +283,7 @@ def integrated_intensity(path: LatentPath, design: SamplingDesign) -> tuple[np.n
 
 
 def simulate_counts(
-    intensities: tuple[np.ndarray, np.ndarray], a_n: float | list[float],
+    intensities: tuple[np.ndarray, np.ndarray], a_n: float | Sequence[float],
     rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> CountPath:
     """Draw the count path given the integrated intensities.
@@ -298,10 +297,10 @@ def simulate_counts(
     ----------
     intensities : (lam1, lam2)
         Per-interval integrals from :func:`integrated_intensity`.
-    a_n : float, or a list of R floats
-        Intensity scale, > 0; a list gives each leading row of
-        ``intensities`` its own.
-    rng : numpy.random.Generator, or a sequence of R of them
+    a_n : float, or a sequence (list, tuple or 1-d array) with one per leading row
+        Intensity scale, > 0: one value for every row of ``intensities``,
+        or each leading row its own.
+    rng : numpy.random.Generator, or a sequence (list, tuple or 1-d array) of R of them
         Each consumes exactly one ``(2, b_n)`` block of Poisson draws.  A
         sequence draws R count paths, one per leading row of
         ``intensities``, each from its own generator.
@@ -311,12 +310,10 @@ def simulate_counts(
     CountPath
     """
     lam1, lam2 = intensities
-    a_n = np.array(a_n)[:, None] if isinstance(a_n, list) else a_n
-    if (np.asarray(a_n) <= 0).any():
-        raise ValueError("a_n must be positive")
-    means = np.empty(lam1.shape[:-1] + (2, lam1.shape[-1]))  # (..., 2, b_n)
-    np.multiply(lam1, a_n, out=means[..., 0, :])
-    np.multiply(lam2, a_n, out=means[..., 1, :])
+    a_n = np.asarray(a_n)[..., None, None]  # against the (..., 2, b_n) means
+    if a_n.shape[:-2] not in ((), lam1.shape[:-1]) or (a_n <= 0).any():
+        raise ValueError(f"a_n must be one positive value or one per row of {lam1.shape[:-1]}")
+    means = np.stack([lam1, lam2], axis=-2) * a_n
     lo, hi = means.min(), means.max()  # NaN if any mean is NaN
     if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("Poisson means must be finite and nonnegative")
@@ -324,8 +321,8 @@ def simulate_counts(
         raise ValueError("Poisson means of a count path sum past the supported 64-bit range")
 
     y = np.zeros(means.shape[:-1] + (means.shape[-1] + 1,), dtype=np.int64)
-    one = isinstance(rng, np.random.Generator)
-    for g, mean, out in [(rng, means, y)] if one else zip(rng, means, y, strict=True):
+    for g, mean, out in zip(np.ravel(rng), means.reshape(-1, *means.shape[-2:]),
+                            y.reshape(-1, *y.shape[-2:]), strict=True):  # one generator a row
         np.cumsum(g.poisson(mean), axis=-1, out=out[..., 1:])  # int64 increments
     return CountPath(y1=y[..., 0, :], y2=y[..., 1, :])
 

@@ -857,6 +857,11 @@ def test_missing_model_key_named_with_its_section():
         io.parse_config(doc)
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
 def _zero_volatility_config(tmp_path):
     model = json.loads(write_config(tmp_path).read_text())["model"]
     return write_config(tmp_path, model={**model, "sigma1": 0.0}, b_n=[8, 16, 32])
@@ -887,10 +892,21 @@ def _zero_volatility_config(tmp_path):
          "error: cannot write output: "),
         (lambda d: ["estimate", "--counts", str(d), "--a-n", "1"], 1, "",
          "error: cannot read input: "),
+        (lambda d: ["estimate", "--counts", str(_write(d / "three.csv", "t,y1,y2\n" + _ROWS)),
+                    "--a-n", "1"], 2, "", "error: need at least 4 observation intervals, got 3\n"),
+        (lambda d: ["mse-table", "--config", str(d / "missing.json")], 2, "",
+         "error: config file not found: "),
+        (lambda d: ["mse-table", "--config", str(_write(d / "config.json", "{"))], 2, "",
+         "error: invalid JSON: "),
+        (lambda d: ["mse-table", "--config", str(_write(d / "config.json", "[1]"))], 2, "",
+         "error: config document must be a JSON object\n"),
+        (lambda d: ["simulate", "--config", str(write_config(d))], 2, "",
+         "error: no output path: pass --out or set 'out' in the config\n"),
     ],
     ids=["mse-table-zero-volatility", "rate-check-zero-volatility", "mse-table-all-degenerate",
          "rate-check-all-degenerate", "simulate-unwritable-out", "mse-table-unwritable-out",
-         "counts-directory"],
+         "counts-directory", "counts-of-3-intervals", "config-missing", "config-not-json",
+         "config-an-array", "simulate-no-out"],
 )
 def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, argv, code,
                                                               out, err):

@@ -522,6 +522,30 @@ def test_concurrent_kernel_calls_on_one_series_equal_calls_on_fresh_copies(rng):
         assert got[e] == [expected[e]] * repeats, e
 
 
+@pytest.mark.parametrize("b_n", [4, 8])  # at b_n = 4 the stack has as many rows as intervals
+@pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
+def test_tilde_series_gives_each_row_its_own_a_n_in_any_sequence_form(b_n, form, rng):
+    # a tuple of per-row a_n once raised an unnamed TypeError, and an array numpy's
+    # "truth value ... is ambiguous"
+    a_n = [1e3, 1e4, 1e5, 1e6]
+    inc = rng.poisson(50.0, (4, 2, b_n))
+    y = np.concatenate([np.zeros((4, 2, 1), dtype=np.int64), inc.cumsum(-1)], axis=-1)
+    stacked = est.tilde_series(sim.CountPath(y1=y[:, 0], y2=y[:, 1]), form(a_n), 1.0 / b_n)
+    assert stacked.y1.shape == (4, b_n)
+    for k in range(4):
+        one = est.tilde_series(sim.CountPath(y1=y[k, 0], y2=y[k, 1]), a_n[k], 1.0 / b_n)
+        assert (one.y1.tobytes(), one.y2.tobytes()) == (stacked.y1[k].tobytes(),
+                                                        stacked.y2[k].tobytes())
+
+
+@pytest.mark.parametrize("a_n", [[1e3] * 3, (1e3,) * 5, np.array([1e3]), [[1e3] * 4]],
+                         ids=["list-of-3", "tuple-of-5", "array-of-1", "one-row-of-4"])
+def test_tilde_series_rejects_a_per_row_a_n_of_the_wrong_length(a_n):
+    y = np.zeros((4, 5), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^a_n must be one value or one per row of \(4,\)$"):
+        est.tilde_series(sim.CountPath(y1=y, y2=y), a_n, 0.25)
+
+
 def test_tilde_series_keeps_int64_differences_of_counts_above_2_53():
     # the differences are taken in int64 and cast once, as np.diff(y) * scale does;
     # a float subtraction would round both counts near 2**62 to the same float

@@ -110,6 +110,18 @@ class TestRunReplication:
         with pytest.raises(ValueError, match=f"^{arg} must be an integer of at least 0, got "):
             run(small_config(study_model), value)
 
+    @pytest.mark.parametrize("index", [1.5, True, -1, math.nan])
+    def test_simulate_replication_rejects_a_bad_index_before_any_draw(self, study_model,
+                                                                      monkeypatch, index):
+        # 1.5 and True once ran replication 1, and -1 raised numpy's unnamed error
+        def refuse(*args):
+            raise AssertionError("a substream was built")
+
+        monkeypatch.setattr(sim, "replication_rng", refuse)
+        with pytest.raises(ValueError) as raised:
+            harness.simulate_replication(small_config(study_model), 16, 3.0, index)
+        assert str(raised.value) == f"index must be an integer of at least 0, got {index!r}"
+
     @pytest.mark.parametrize("run", [
         lambda cfg, b_n, r: harness.run_replication(cfg, b_n, r, 0),
         lambda cfg, b_n, r: harness.run_cell(cfg, b_n, r),

@@ -272,3 +272,42 @@ def test_validate_regime_rejects_non_finite_inputs(b_n, a_n, name):
     # a NaN a_n used to report r = nan, and an infinite one met both conditions
     with pytest.raises(ValueError, match=f"^{name} must be"):
         sim.validate_regime(b_n, a_n)
+
+
+_A_N = [1e3, 1e4, 1e5, 1e6]  # one per row of a 4-row stack
+
+
+@pytest.mark.parametrize("b_n", [4, 8])  # at b_n = 4 the stack has as many rows as intervals
+@pytest.mark.parametrize("a_n", [list, tuple, np.array], ids=["a_n-list", "a_n-tuple", "a_n-array"])
+@pytest.mark.parametrize("rngs", [list, tuple], ids=["rng-list", "rng-tuple"])
+def test_a_stack_in_any_sequence_form_gives_each_row_the_bits_of_that_row_alone(
+        study_model, b_n, a_n, rngs):
+    # a tuple or array of per-row a_n once scaled the columns of a b_n = 4 stack, not its rows
+    design = sim.SamplingDesign(b_n=b_n, a_n=1.0, m=4)
+    path = sim.simulate_latent(study_model, design, rngs(make_rng(k) for k in range(4)))
+    lam1, lam2 = sim.integrated_intensity(path, design)
+    counts = sim.simulate_counts((lam1, lam2), a_n(_A_N), rngs(make_rng(10 + k) for k in range(4)))
+    assert counts.y1.shape == counts.y2.shape == (4, b_n + 1)
+    for k in range(4):
+        alone = sim.simulate_latent(study_model, design, make_rng(k))
+        assert (alone.x1.tobytes(), alone.x2.tobytes()) == (path.x1[k].tobytes(),
+                                                            path.x2[k].tobytes())
+        one = sim.simulate_counts((lam1[k], lam2[k]), _A_N[k], make_rng(10 + k))
+        assert (one.y1.tobytes(), one.y2.tobytes()) == (counts.y1[k].tobytes(),
+                                                        counts.y2[k].tobytes())
+
+
+@pytest.mark.parametrize("a_n", [_A_N[:3], tuple(_A_N) + (1e7,), np.array(_A_N[:1]), [_A_N]],
+                         ids=["list-of-3", "tuple-of-5", "array-of-1", "one-row-of-4"])
+def test_a_per_row_a_n_of_the_wrong_length_is_rejected(a_n):
+    lam = np.full((4, 4), 0.5)
+    with pytest.raises(ValueError,
+                       match=r"^a_n must be one positive value or one per row of \(4,\)$"):
+        sim.simulate_counts((lam, lam), a_n, [make_rng(k) for k in range(4)])
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_as_many_generators_as_rows_are_needed(count):
+    lam = np.full((4, 4), 0.5)
+    with pytest.raises(ValueError, match="zip"):
+        sim.simulate_counts((lam, lam), 1e3, [make_rng(k) for k in range(count)])
