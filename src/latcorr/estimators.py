@@ -28,6 +28,7 @@ weights ``v = (1/sqrt(S11 S22), -S12/(2 sqrt(S11^3 S22)),
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -76,10 +77,10 @@ _PAIRMAP_A = np.array([[3 * _pair_index(a1, a2) + _pair_index(b1, b2) for a2, b2
 _PAIRMAP_B = np.array([[3 * _pair_index(a1, b2) + _pair_index(b1, a2) for a2, b2 in PAIRS]
                        for a1, b1 in PAIRS])
 
-#: Elements per block pass of ``_window_sums`` (64 KiB of float64).  Rows
-#: share a pass up to this many elements in all, which saves numpy calls on
-#: short rows; longer rows run one per pass, because a pass over several long
-#: rows measured slower.
+#: Elements per block pass of ``_window_sums`` (128 KiB of complex128: the
+#: forward and the reversed blocks).  Rows share a pass up to this many
+#: elements in all, which saves numpy calls on short rows; longer rows run one
+#: per pass, because a pass over several long rows measured slower.
 _WINDOW_CHUNK = 8192
 
 # Kernel bandwidth exponents named as in the simulation study.
@@ -336,32 +337,30 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     cancellation), matching naive per-window summation to rounding error.
     The window ending at offset ``o`` of block ``b`` is the prefix sum of
     block ``b`` up to ``o``, plus the suffix sum of block ``b-1`` from
-    ``o+1`` if ``b >= 1`` and ``o < width-1``.  The rows over all leading
-    axes go through the blocks in chunks of at most ``_WINDOW_CHUNK``
-    elements, one pass per chunk, and at least one row per chunk; a row's
-    outputs do not depend on the chunk it runs in.
+    ``o+1`` if ``b >= 1`` and ``o < width-1``.  One complex accumulate gives
+    both, bit for bit: the blocks run forward in its real part and reversed
+    in its imaginary part.  The rows over all leading axes go through the
+    blocks in chunks of at most ``_WINDOW_CHUNK`` elements, one pass per
+    chunk, and at least one row per chunk; no row's sums depend on its chunk.
 
-    The windows are formed in place in one prefix array for all rows; the
-    result is a view of it, C-contiguous only when ``width`` divides ``n``.
+    The windows are formed in one real array for all rows; the result is a
+    view of it, C-contiguous only when ``width`` divides ``n``.
     """
     n = values.shape[-1]
     nblocks = -(-n // width)
     rows = values.reshape(-1, n)
-    fwd = np.empty((len(rows), nblocks, width))
+    out = np.empty((len(rows), nblocks, width))
     step = max(_WINDOW_CHUNK // (nblocks * width), 1)
-    padded, bwd = np.empty((2, min(step, len(rows)), nblocks, width))
-    padded.reshape(len(padded), -1)[:, n:] = 0.0  # feeds no output, but must hold no garbage
+    buf = np.empty((min(step, len(rows)), nblocks, width), complex)
     for start in range(0, len(rows), step):
-        chunk, dest = rows[start : start + step], fwd[start : start + step]
-        k = len(chunk)
-        if k < len(padded):  # the last of several chunks
-            padded, bwd = padded[:k], bwd[:k]
-        padded.reshape(k, -1)[:, :n] = chunk
-        np.add.accumulate(padded, axis=-1, out=dest)  # np.cumsum without its wrapper
-        np.add.accumulate(padded[..., ::-1], axis=-1, out=bwd)
-        suffix = bwd[..., ::-1]
-        np.add(dest[:, 1:, :-1], suffix[:, :-1, 1:], out=dest[:, 1:, :-1])  # now the windows
-    return fwd.reshape(len(rows), -1)[:, :n].reshape(values.shape)
+        both, dest = buf[: len(rows) - start], out[start : start + step]  # the last may be short
+        flat = both.real.reshape(len(dest), -1)
+        flat[:, :n], flat[:, n:] = rows[start : start + step], 0.0  # the pad held the last sums
+        both.imag = both.real[..., ::-1]
+        np.add.accumulate(both, axis=-1, out=both)  # prefixes in .real, reversed suffixes in .imag
+        dest[...] = both.real
+        np.add(dest[:, 1:, :-1], both.imag[:, :-1, -2::-1], out=dest[:, 1:, :-1])  # now the windows
+    return out.reshape(len(rows), -1)[:, :n].reshape(values.shape)
 
 
 def gamma_kernel(tilde: TildeSeries, T: float, bandwidth: BandwidthSpec) -> GammaMatrix:
@@ -390,10 +389,12 @@ def _weights(s12: float, s11: float, s22: float) -> list[float]:
     if not (math.isfinite(s12) and math.isfinite(s11) and math.isfinite(s22)):
         raise DegenerateDataError(f"weight vector undefined: S = {(s12, s11, s22)} is not finite")
     try:
-        return [1.0 / math.sqrt(s11 * s22), -s12 / (2.0 * math.sqrt(s11**3 * s22)),
-                -s12 / (2.0 * math.sqrt(s11 * s22**3))]
-    except (OverflowError, ZeroDivisionError) as exc:  # float ** and / raise, not give inf
+        rad = (s11 * s22, s11**3 * s22, s11 * s22**3)
+    except OverflowError as exc:  # float ** raises, where float * gives inf or a subnormal
         raise DegenerateDataError(f"weight vector out of float range: {exc}") from exc
+    if not all(sys.float_info.min <= x < math.inf for x in rad):
+        raise DegenerateDataError(f"weight vector out of float range: radicands {rad}")
+    return [1.0 / math.sqrt(rad[0])] + [-s12 / (2.0 * math.sqrt(x)) for x in rad[1:]]
 
 
 def correlation_weights(S: CovEstimate) -> np.ndarray:

@@ -1005,3 +1005,33 @@ def test_a_grid_the_host_cannot_hold_exits_1_with_one_error_line(tmp_path, capsy
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1
+
+
+_FIVE_INTERVALS = "t,y1,y2\n0,0,0\n1,5,3\n2,9,9\n3,12,10\n4,20,11\n5,21,17\n"
+
+
+@pytest.mark.parametrize("a_n", ["1e-40", "1e41"])
+def test_weights_out_of_float_range_exit_3_with_one_error_line(tmp_path, capsys, a_n):
+    # S11**3 * S22 overflowed to inf (1e-40) or fell below the normal floats (1e41)
+    # without raising: variant 1's xi read 0.35977921498661913 and 0.17405333096820902,
+    # for 0.17407385737238848 at a_n = 1, with exit 0
+    counts = _write(tmp_path / "five.csv", _FIVE_INTERVALS)
+    assert cli.main(["estimate", "--counts", str(counts), "--a-n", a_n, "--format", "csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degenerate data: weight vector out of float range")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("counts", [lambda d: _write(d / "five.csv", _FIVE_INTERVALS),
+                                    _counts_file], ids=["5-intervals", "64-intervals"])
+def test_estimate_prints_the_same_bytes_for_every_power_of_two_a_n(tmp_path, capsys, counts):
+    # a_n scales every count increment, and a power of two scales without rounding,
+    # so it cancels exactly from C, xi and the CI
+    path = str(counts(tmp_path))
+    outputs = set()
+    for k in range(-20, 21):
+        assert cli.main(["estimate", "--counts", path, "--a-n", str(2.0**k), "--format",
+                         "csv"]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1

@@ -461,6 +461,64 @@ def test_window_sums_leading_axes_equal_one_dimensional_calls(shape, width, rng)
         assert np.array_equal(out, est._window_sums(row, width))
 
 
+def _two_pass_window_sums(values, width):
+    """``estimators._window_sums`` as it was with two real accumulates, one over
+    the blocks for the prefix sums and one over the reversed blocks for the
+    suffix sums; the one complex pass must give its bits."""
+    n = values.shape[-1]
+    nblocks = -(-n // width)
+    rows = values.reshape(-1, n)
+    fwd = np.empty((len(rows), nblocks, width))
+    step = max(est._WINDOW_CHUNK // (nblocks * width), 1)
+    padded, bwd = np.empty((2, min(step, len(rows)), nblocks, width))
+    padded.reshape(len(padded), -1)[:, n:] = 0.0
+    for start in range(0, len(rows), step):
+        chunk, dest = rows[start : start + step], fwd[start : start + step]
+        k = len(chunk)
+        if k < len(padded):
+            padded, bwd = padded[:k], bwd[:k]
+        padded.reshape(k, -1)[:, :n] = chunk
+        np.add.accumulate(padded, axis=-1, out=dest)
+        np.add.accumulate(padded[..., ::-1], axis=-1, out=bwd)
+        suffix = bwd[..., ::-1]
+        np.add(dest[:, 1:, :-1], suffix[:, :-1, 1:], out=dest[:, 1:, :-1])
+    return fwd.reshape(len(rows), -1)[:, :n].reshape(values.shape)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    # rows that share a pass: (32, 3, 15) all in one, (7, 3, 1023) at width 1 in
+    # passes of 8 rows and a last of 5; rows longer than _WINDOW_CHUNK, one per
+    # pass: (3, 9001) and (2, 3, 8193)
+    [(15,), (3, 15), (32, 3, 15), (16, 3, 255), (7, 3, 1023), (1, 1), (3, 2), (3, 9001),
+     (2, 3, 8193)],
+)
+@pytest.mark.parametrize("values", ["plain", "specials", "tiny", "huge"])
+def test_window_sums_bits_equal_the_two_pass_form(shape, values):
+    assert est._WINDOW_CHUNK // 1023 == 8 and est._WINDOW_CHUNK < 8193
+    rng = np.random.default_rng(sum(shape))
+    n = shape[-1]
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    if values == "specials":  # each window that holds one of them is inf or nan
+        specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, -1e-310][: flat.size]
+        flat[::5] = -0.0
+        flat[rng.choice(flat.size, len(specials), replace=False)] = specials
+    elif values == "tiny":  # subnormal values and sums
+        flat *= 1e-310
+    elif values == "huge":  # some sums overflow
+        flat *= 1e300
+        flat[::7] *= 1e7
+    b_n = n + 1
+    widths = {1, 2, n, n + 3} | {est.BandwidthSpec.from_exponent(e).resolve(b_n, 1.0)[1]
+                                 for e in est.VARIANT_EXPONENTS.values()}
+    for width in sorted(widths):
+        with np.errstate(all="ignore"):
+            got, want = est._window_sums(x, width), _two_pass_window_sums(x, width)
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes(), width
+
+
 def test_pairmap_of_stacked_matrices_equals_each(rng):
     G = rng.standard_normal((4, 2, 3, 3))
     G = G + G.swapaxes(-1, -2)
@@ -634,4 +692,19 @@ def test_correlation_weights_reject_a_non_finite_S(S):
     forms, errors = est.xi_forms([(S.s12, S.s11, S.s22), (0.0, 1.0, 1.0)],
                                  np.stack([np.eye(3), np.eye(3)]))
     assert isinstance(errors[0], est.DegenerateDataError) and errors[1] is None
+    assert forms[1] == 1.0
+
+
+@pytest.mark.parametrize("s", [(1.0, 1e80, 1e80), (1e-80, 1e-79, 1e-79)],
+                         ids=["radicands-overflow", "radicands-subnormal"])
+def test_weights_with_a_radicand_out_of_float_range_raise(s):
+    # float * gave inf or a subnormal without raising: weights [1e-80, -0.0, -0.0] in the
+    # first case, a v2 of -5.000000040850714e+77 for -5e77 in the second, and a wrong xi
+    with pytest.raises(est.DegenerateDataError, match="weight vector out of float range"):
+        est._weights(*s)
+    with pytest.raises(est.DegenerateDataError, match="weight vector out of float range"):
+        est.estimate_xi(est.CovEstimate(*s), est.GammaMatrix(values=np.eye(3)))
+    forms, errors = est.xi_forms([s, (0.0, 1.0, 1.0)], np.stack([np.eye(3), np.eye(3)]))
+    assert isinstance(errors[0], est.DegenerateDataError) and errors[1] is None
+    assert "weight vector out of float range" in str(errors[0])
     assert forms[1] == 1.0
