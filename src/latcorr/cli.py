@@ -160,10 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate correlation and its variance from counts")
     p.add_argument("--counts", required=True, help="count-series CSV (header t,y1,y2)")
-    p.add_argument("--a-n", dest="a_n", type=float, required=True,
-                   help="intensity scale a_n used when the counts were generated; C, xi "
-                   "and the CI do not depend on it up to rounding, and not at all for a "
-                   "power of two; one that takes the xi weights out of float range exits 3")
+    p.add_argument("--a-n", dest="a_n", type=float, default=1.0,
+                   help="intensity scale a_n of the counts (default 1); C, xi and the CI "
+                   "do not depend on it up to rounding, and every power of two prints the "
+                   "same bytes; one that takes the xi weights out of float range exits 3")
     p.add_argument("--variant", action="append", choices=list(harness.VARIANTS),
                    help="variance-estimator variant (repeatable; default: all)")
     p.add_argument("--level", type=float, default=0.95, help="confidence level (default 0.95)")

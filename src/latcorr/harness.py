@@ -57,8 +57,8 @@ CHUNK = 8
 #: ``max(1, SUB_CHUNK_STEPS // (b_n * m))`` rows, 32 at ``b_n * m`` = 128, 8 at 512, 1 from 4096.
 #: The largest array binds it: ``oracle._gram_targets``' ``dots``, 3 rows of ``b_n * m + 1``
 #: float64 per replication, 96-120 KiB, under glibc's 128 KiB mmap threshold, so the heap reuses
-#: it (one replication alone passes that from ``b_n * m`` = 5461).  4x the bound ran the desk
-#: study no faster, with a peak RSS 6-7% higher.
+#: it (one alone passes that from ``b_n * m`` = 5461).  4x the bound ran desk tables 1.08-1.19x
+#: faster, but perfbench's probe-scaled ``desk_study`` only 1.02-1.06x, peak RSS 3-5% higher.
 SUB_CHUNK_STEPS = 1 << 12
 #: Most fine steps ``b_n * refinement`` a config may ask for; one replication's latent layer
 #: then holds about eight float64 rows of that length, 1 GiB.

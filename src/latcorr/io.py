@@ -206,11 +206,15 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
     times = rows["t"]
     if not np.all(np.isfinite(times)):
         raise CountSeriesError("observation times must be finite")
-    steps = np.diff(times)
+    b_n = len(times) - 1
+    with np.errstate(over="ignore"):  # a span past the float range is reported below
+        steps = np.diff(times)
+        delta = (times[-1] - times[0]) / b_n
+        T = b_n * delta  # inf also where delta is, or where it rounds up past the largest float
     if np.any(steps <= 0):
         raise CountSeriesError("observation times must be strictly increasing")
-    b_n = len(times) - 1
-    delta = (times[-1] - times[0]) / b_n
+    if not np.isfinite(T):
+        raise CountSeriesError("observation times must span less than the largest float")
     deviation = np.abs(np.subtract(steps, delta, out=steps), out=steps)
     if np.max(deviation) > EQUIDISTANCE_RTOL * delta:
         raise CountSeriesError("observation times must be equidistant (rel. tol. 1e-9)")
@@ -218,7 +222,7 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
         counts = CountPath(y1=rows["y1"], y2=rows["y2"])
     except ValueError as exc:
         raise CountSeriesError(str(exc)) from exc
-    return counts, float(delta), float(b_n * delta)
+    return counts, float(delta), float(T)
 
 
 def _first_bad_line(path: str) -> str | None:

@@ -785,6 +785,13 @@ def test_path_reader_equals_handle_reader(tmp_path_factory, data):
 
 
 _ROWS = "0,0,0\n0.5,1,2\n1.0,3,3\n1.5,4,7\n"
+_SPAN = "-1e308,0,0\n-5e307,5,3\n0,9,9\n5e307,12,10\n1e308,20,11\n"
+_STEPS = "-1.7e308,0,0\n1.7e308,5,3\n1.71e308,9,9\n1.72e308,12,10\n1.73e308,20,11\n"
+_ROUNDS = ("-8.988465674311579e+307,0,0\n-5.992310449541052e+307,4,3\n"
+           "-2.996155224770526e+307,6,6\n9.9792015476736e+291,10,6\n"
+           "2.996155224770527e+307,12,9\n5.992310449541053e+307,16,12\n"
+           "8.988465674311579e+307,18,12\n")
+_SPAN_ERROR = "error: bad counts file: observation times must span less than the largest float\n"
 
 
 @pytest.mark.parametrize(
@@ -894,6 +901,16 @@ def _zero_volatility_config(tmp_path):
          "error: cannot read input: "),
         (lambda d: ["estimate", "--counts", str(_write(d / "three.csv", "t,y1,y2\n" + _ROWS)),
                     "--a-n", "1"], 2, "", "error: need at least 4 observation intervals, got 3\n"),
+        # a span that overflows a float: numpy's overflow warning and "T must be positive and
+        # finite, got inf" used to print, or the equidistance check passed on steps of inf
+        # and 1e306, whose deviations compare as NaN
+        (lambda d: ["estimate", "--counts", str(_write(d / "span.csv", "t,y1,y2\n" + _SPAN))],
+         2, "", _SPAN_ERROR),
+        (lambda d: ["estimate", "--counts", str(_write(d / "steps.csv", "t,y1,y2\n" + _STEPS))],
+         2, "", _SPAN_ERROR),
+        # a span below the largest float whose b_n * delta rounds up past it
+        (lambda d: ["estimate", "--counts", str(_write(d / "rounds.csv", "t,y1,y2\n" + _ROUNDS))],
+         2, "", _SPAN_ERROR),
         (lambda d: ["mse-table", "--config", str(d / "missing.json")], 2, "",
          "error: config file not found: "),
         (lambda d: ["mse-table", "--config", str(_write(d / "config.json", "{"))], 2, "",
@@ -905,8 +922,9 @@ def _zero_volatility_config(tmp_path):
     ],
     ids=["mse-table-zero-volatility", "rate-check-zero-volatility", "mse-table-all-degenerate",
          "rate-check-all-degenerate", "simulate-unwritable-out", "mse-table-unwritable-out",
-         "counts-directory", "counts-of-3-intervals", "config-missing", "config-not-json",
-         "config-an-array", "simulate-no-out"],
+         "counts-directory", "counts-of-3-intervals", "counts-span-overflows",
+         "counts-first-step-overflows", "counts-span-rounds-past-max", "config-missing",
+         "config-not-json", "config-an-array", "simulate-no-out"],
 )
 def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, argv, code,
                                                               out, err):
@@ -1034,4 +1052,7 @@ def test_estimate_prints_the_same_bytes_for_every_power_of_two_a_n(tmp_path, cap
         assert cli.main(["estimate", "--counts", path, "--a-n", str(2.0**k), "--format",
                          "csv"]) == 0
         outputs.add(capsys.readouterr().out)
+    # without --a-n, a_n defaults to 1 (argparse used to exit 2)
+    assert cli.main(["estimate", "--counts", path, "--format", "csv"]) == 0
+    outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
