@@ -17,7 +17,6 @@ Profiles:
 """
 
 import argparse
-import csv
 import math
 import sys
 import time
@@ -74,23 +73,16 @@ def run_rate(model, r, bns, n_reps, seed, n_workers=0):
 
 
 def write_comparison(path, rows, reference, bns):
-    hits = total = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant", "b_n", "mse", "stderr", "reference",
-                         "deviation_in_se", "within_3se"])
-        for row in rows:
-            if row.b_n not in bns or not row.valid:
-                continue
+    lines = []
+    for row in rows:
+        if row.b_n in bns and row.valid:
             ref = reference[row.variant][REFERENCE_BNS.index(row.b_n)]
             se = row.mse_stderr
             dev = (row.mse - ref) / se if se > 0 else math.inf
-            ok = abs(dev) <= 3.0
-            hits += ok
-            total += 1
-            writer.writerow([row.variant, row.b_n, repr(row.mse), repr(se),
-                             repr(ref), f"{dev:.2f}", int(ok)])
-    return hits, total
+            lines.append([row.variant, row.b_n, row.mse, se, ref, f"{dev:.2f}", int(abs(dev) <= 3)])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        io.write_csv(fh, "variant,b_n,mse,stderr,reference,deviation_in_se,within_3se", lines)
+    return sum(line[-1] for line in lines), len(lines)
 
 
 def main(argv=None) -> int:

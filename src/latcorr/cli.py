@@ -86,10 +86,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     report = [(variant, results[variant], results[variant].ci) for variant in variants]
     if args.format == "csv":
-        print("variant,C,xi,clamped,ci_lo,ci_hi,lo_clamped,hi_clamped,level")
-        for variant, res, ci in report:
-            print(f"{variant},{C!r},{res.xi!r},{int(res.clamped)},"
-                  f"{ci.lo!r},{ci.hi!r},{int(ci.lo_clamped)},{int(ci.hi_clamped)},{ci.level!r}")
+        io.write_csv(sys.stdout, "variant,C,xi,clamped,ci_lo,ci_hi,lo_clamped,hi_clamped,level",
+                     ([variant, C, res.xi, int(res.clamped), ci.lo, ci.hi, int(ci.lo_clamped),
+                       int(ci.hi_clamped), ci.level] for variant, res, ci in report))
     else:
         print(f"b_n = {counts.b_n}, a_n = {args.a_n:g}, T = {T:g}")
         print(f"correlation C = {C:.6f}")

@@ -194,8 +194,8 @@ class BandwidthSpec:
         if not 0.0 < h <= T:
             raise ValueError(f"bandwidth h={h} outside (0, T]")
         # guard band: grid times that equal h exactly must stay inside the
-        # window despite rounding in h*b_n/T
-        n_h = max(int(math.floor(h * b_n / T * (1.0 + 1e-12))), 1)
+        # window despite rounding in h/T*b_n (h*b_n would overflow for T near the largest float)
+        n_h = max(int(math.floor(h / T * b_n * (1.0 + 1e-12))), 1)
         return h, n_h
 
 

@@ -1,8 +1,8 @@
 """File formats: JSON experiment configs, count-series CSV, result tables.
 
 All outputs are locale-independent ('.' decimal separator, '\\n' line ends,
-trailing newline); floats are written with ``repr`` so CSV round-trips are
-bit-exact.
+trailing newline); every CSV goes through :func:`write_csv`, which writes a
+float as its ``repr``, so CSV round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "serialize_config",
+    "write_csv",
     "write_count_series",
     "read_count_series",
     "write_latent_path",
@@ -158,15 +159,25 @@ def serialize_config(cf: ConfigFile) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items() if v is not None}
 
 
-def _write_csv(path: str, header: list[str], *columns: np.ndarray) -> None:
+def write_csv(fh, header: str, rows) -> None:
+    """Write the comma-separated names ``header``, then each row of the iterable ``rows``, to
+    the text stream ``fh`` as '\\n'-ended CSV lines; a float is written as its ``repr``."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+
+
+def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
+    """Write equal-length columns as CSV, taking them into Python numbers 2^14 rows at a
+    time, so no whole column is held as a list."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows([header, *zip(*map(np.ndarray.tolist, columns))])
+        write_csv(fh, header, (row for i in range(0, len(columns[0]), 1 << 14)
+                               for row in zip(*(c[i:i + (1 << 14)].tolist() for c in columns))))
 
 
 def write_count_series(path: str, counts: CountPath, delta_n: float) -> None:
     """Write cumulative counts as CSV with header ``t,y1,y2``."""
-    _write_csv(path, ["t", "y1", "y2"], np.arange(len(counts.y1)) * delta_n, counts.y1, counts.y2)
+    _write_columns(path, "t,y1,y2", np.arange(len(counts.y1)) * delta_n, counts.y1, counts.y2)
 
 
 def read_count_series(path: str) -> tuple[CountPath, float, float]:
@@ -180,6 +191,8 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
     full_path = os.path.abspath(path)  # numpy would fetch a name that parses as a URL
     if full_path.endswith((".gz", ".bz2", ".xz", ".lzma")):  # numpy would decompress it
         raise CountSeriesError(f"count files are plain text, not compressed: {path!r}")
+    if os.path.exists(full_path) and not os.path.isfile(full_path):  # a device, FIFO or pipe
+        raise OSError(f"not a regular file: {path!r}")
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         # a body without rows is reported below, not by numpy's empty-input warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -192,8 +205,6 @@ def read_count_series(path: str) -> tuple[CountPath, float, float]:
         header = next(csv.reader([line]))
         if [h.strip() for h in header] != ["t", "y1", "y2"]:
             raise CountSeriesError(f"expected header 't,y1,y2', got {','.join(header)!r}")
-        if not os.path.isfile(full_path):  # a pipe could not be read a second time below
-            raise OSError(f"not a regular file: {path!r}")
         try:  # by path, numpy reads the file in chunks in C, not line by line
             rows = np.loadtxt(full_path, skiprows=1, encoding="utf-8", delimiter=",",
                               dtype=[("t", "f8"), ("y1", "i8"), ("y2", "i8")],
@@ -253,21 +264,15 @@ def _first_bad_line(path: str) -> str | None:
 
 def write_latent_path(path: str, latent: LatentPath) -> None:
     """Write the fine-grid latent path as CSV with header ``s,x1,x2``."""
-    _write_csv(path, ["s", "x1", "x2"], latent.times, latent.x1, latent.x2)
+    _write_columns(path, "s,x1,x2", latent.times, latent.x1, latent.x2)
 
 
 def mse_table_csv(rows: list[MseRow]) -> str:
     """Render MSE rows as CSV (header + one line per grid cell)."""
     buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["variant", "b_n", "r", "mse", "bn_times_mse",
-                     "degenerate_count", "clamped_count", "N"])
-    for row in rows:
-        writer.writerow([
-            row.variant, row.b_n, repr(row.r), repr(row.mse), repr(row.bn_times_mse),
-            row.degenerate_count, row.clamped_count,
-            row.n_effective + row.degenerate_count,
-        ])
+    write_csv(buf, "variant,b_n,r,mse,bn_times_mse,degenerate_count,clamped_count,N",
+              ([row.variant, row.b_n, row.r, row.mse, row.bn_times_mse, row.degenerate_count,
+                row.clamped_count, row.n_effective + row.degenerate_count] for row in rows))
     return buf.getvalue()
 
 

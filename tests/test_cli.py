@@ -76,6 +76,18 @@ class TestCountSeriesFile:
         assert T == 0.75
         assert p.read_text().endswith("\n")
 
+    @pytest.mark.parametrize("n", [1 << 14, (1 << 15) + 3])
+    def test_path_writers_keep_every_row_across_their_row_blocks(self, tmp_path, n):
+        # the columns are taken into Python numbers 2^14 rows at a time
+        rng = np.random.default_rng(5)
+        latent = sim.LatentPath(times=np.arange(n) / n, x1=rng.lognormal(size=n),
+                                x2=rng.lognormal(size=n))
+        p = tmp_path / "latent.csv"
+        io.write_latent_path(str(p), latent)
+        assert p.read_text() == "s,x1,x2\n" + "".join(
+            f"{s!r},{x1!r},{x2!r}\n" for s, x1, x2 in zip(latent.times.tolist(),
+                                                         latent.x1.tolist(), latent.x2.tolist()))
+
     def test_rejects_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,a,b\n0,0,0\n1,1,1\n")
@@ -229,6 +241,15 @@ class TestMseTableCommand:
         assert "| $*$ | $b_n = 2^4$ | $b_n = 2^5$ |" in text  # ascending columns
         assert "\n| 1 | " in text and "\n| 2 | " in text
         assert text.endswith("\n")
+
+    def test_markdown_renders_a_dead_cell_and_a_grid_size_off_the_powers_of_two(self):
+        rows = [harness.MseRow("1", 16, 3.0, 0.25, 4.0, 0, 1, 9),
+                harness.MseRow("1", 24, 3.0, math.nan, math.nan, 10, 0, 0),
+                harness.MseRow("w", 24, 3.0, 0.125, 3.0, 2, 0, 8)]
+        assert io.mse_table_markdown(rows) == (
+            "### MSE of asymptotic variance estimators; $a_n = b_n^{3}$\n\n"
+            "| $*$ | $b_n = 2^4$ | $b_n = 24$ |\n| --- | --- | --- |\n"
+            "| 1 | 0.2500 | -- |\n| w | -- | 0.1250 |\n")
 
     def test_csv_parses_back(self, tmp_path):
         cfg = write_config(tmp_path, b_n=[16], replications=3)
@@ -792,6 +813,9 @@ _ROUNDS = ("-8.988465674311579e+307,0,0\n-5.992310449541052e+307,4,3\n"
            "2.996155224770527e+307,12,9\n5.992310449541053e+307,16,12\n"
            "8.988465674311579e+307,18,12\n")
 _SPAN_ERROR = "error: bad counts file: observation times must span less than the largest float\n"
+# equidistant times over a span just below the largest float
+_WIDE = ("-8.988465674311579e+307,0,0\n-4.4942328371557893e+307,5,3\n0,9,9\n"
+         "4.4942328371557893e+307,12,10\n8.988465674311579e+307,20,11\n")
 
 
 @pytest.mark.parametrize(
@@ -857,6 +881,18 @@ def test_counts_from_a_pipe_exit_1(tmp_path):
     assert proc.stderr == "error: cannot read input: not a regular file: '/dev/stdin'\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_counts_from_a_fifo_exit_1_before_opening_it(tmp_path):
+    # opening a FIFO that no process writes to blocked for ever
+    fifo = tmp_path / "counts.csv"
+    os.mkfifo(fifo)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "latcorr.cli", "estimate", "--counts",
+                           str(fifo)], env=env, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: cannot read input: not a regular file: {str(fifo)!r}\n"
+
+
 def test_missing_model_key_named_with_its_section():
     doc = {"model": {"mu1": 0, "mu2": 0, "sigma1": 0.1, "sigma2": 0.1, "rho": 0,
                      "x1_0": 1}, "b_n": [8], "r": [3.0]}
@@ -911,6 +947,14 @@ def _zero_volatility_config(tmp_path):
         # a span below the largest float whose b_n * delta rounds up past it
         (lambda d: ["estimate", "--counts", str(_write(d / "rounds.csv", "t,y1,y2\n" + _ROUNDS))],
          2, "", _SPAN_ERROR),
+        # h * b_n overflowed in the kernel window's length: a traceback, exit 1
+        (lambda d: ["estimate", "--counts", str(_write(d / "wide.csv", "t,y1,y2\n" + _WIDE))],
+         3, "", "error: degenerate data: S11*S22 = 0: correlation undefined\n"),
+        (lambda d: ["estimate", "--counts", str(_write(d / "wide.csv", "t,y1,y2\n" + _WIDE)),
+                    "--a-n", "1e-300"], 3, "",
+         "error: degenerate data: asymptotic variance is not finite"),
+        (lambda d: ["estimate", "--counts", str(_write(d / "empty.csv", ""))], 2, "",
+         "error: bad counts file: empty file\n"),
         (lambda d: ["mse-table", "--config", str(d / "missing.json")], 2, "",
          "error: config file not found: "),
         (lambda d: ["mse-table", "--config", str(_write(d / "config.json", "{"))], 2, "",
@@ -923,7 +967,8 @@ def _zero_volatility_config(tmp_path):
     ids=["mse-table-zero-volatility", "rate-check-zero-volatility", "mse-table-all-degenerate",
          "rate-check-all-degenerate", "simulate-unwritable-out", "mse-table-unwritable-out",
          "counts-directory", "counts-of-3-intervals", "counts-span-overflows",
-         "counts-first-step-overflows", "counts-span-rounds-past-max", "config-missing",
+         "counts-first-step-overflows", "counts-span-rounds-past-max", "counts-window-overflows",
+         "counts-window-overflows-small-a-n", "counts-empty", "config-missing",
          "config-not-json", "config-an-array", "simulate-no-out"],
 )
 def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, argv, code,

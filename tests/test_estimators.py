@@ -426,6 +426,17 @@ def test_non_finite_correlation_raises(S):
         est.estimate_correlation(S)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: est.TildeSeries(y1=np.zeros(3), y2=np.zeros(4)), "y1 and y2 must have equal length"),
+    (lambda: est.TildeSeries(y1=np.zeros(1), y2=np.zeros(1)), "need at least two intervals"),
+    (lambda: est.kernel_partial(np.zeros(8), 2, est.BandwidthSpec.explicit(0.5), 8, 1.0),
+     "products length must be b_n - 1"),
+], ids=["tilde-lengths", "tilde-one-interval", "kernel-partial-length"])
+def test_series_shapes_checked_naming_the_fault(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 @pytest.mark.parametrize("scale", ["a_n", "delta_n"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_tilde_series_rejects_non_finite_scales(scale, value):

@@ -23,6 +23,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(study_model, b_n=())
 
+    @pytest.mark.parametrize("field", ["r", "variants"])
+    def test_rejects_an_empty_list_naming_it(self, study_model, field):
+        with pytest.raises(ValueError, match=rf"^{field} list must be nonempty$"):
+            small_config(study_model, **{field: ()})
+
     def test_rejects_small_bn(self, study_model):
         with pytest.raises(ValueError, match="b_n"):
             small_config(study_model, b_n=(2,))

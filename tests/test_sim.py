@@ -248,6 +248,19 @@ class TestSubstreams:
         assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: sim.LatentPath(times=np.zeros(3), x1=np.ones(3), x2=np.ones(4)),
+     "times, x1, x2 must have equal length"),
+    (lambda: sim.CountPath(y1=np.zeros(3, np.int64), y2=np.zeros(4, np.int64)),
+     "y1 and y2 must have equal length"),
+    (lambda: sim.CountPath(y1=np.zeros(1, np.int64), y2=np.zeros(1, np.int64)),
+     "a count path needs at least two observation times"),
+], ids=["latent-lengths", "count-lengths", "count-one-time"])
+def test_path_shapes_checked_naming_the_fault(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 @pytest.mark.parametrize("field", ["a_n", "T"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_design_rejects_non_finite(field, value):
